@@ -61,7 +61,6 @@ from .specfun import (
     dilog_unit_circle_decomposition,
     principal_log,
 )
-from ._kernels import backend_name as kernel_backend
 
 __version__ = "0.1.0"
 
@@ -97,7 +96,6 @@ __all__ = [
     "formula_discrepancy",
     "growth_profile",
     "infinity_solution",
-    "kernel_backend",
     "limit_infinity",
     "load_references",
     "principal_log",

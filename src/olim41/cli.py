@@ -14,18 +14,12 @@ Subcommands:
     sweep   --start --step --count       geometric candidates along a framing ray
     growth  --p --N-list                 log-growth table of |tau_N|
     special --fn li2|cl2|b2 --arg X      special-function point values
-
-The environment variable OLIM_WRT_THREADS caps the worker threads used by
-sweep and growth; the default is the machine's CPU count.
 """
 
 import argparse
 import csv
 import io
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import DomainError
@@ -72,20 +66,6 @@ def emit_csv(rows, schema):
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
     return buffer.getvalue()
-
-
-def _worker_count(jobs):
-    cap = os.environ.get("OLIM_WRT_THREADS")
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise DomainError(f"OLIM_WRT_THREADS must be an integer, got {cap!r}")
-        if cap < 1:
-            raise DomainError(f"OLIM_WRT_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, jobs))
 
 
 def _saddle_row(p, point):
@@ -150,18 +130,14 @@ def _cmd_sweep(args):
     if args.count < 0:
         raise DomainError(f"--count must be nonnegative, got {args.count}")
     framings = [args.start + args.step * i for i in range(args.count)]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(framings) or 1)) as pool:
-        points = list(pool.map(lambda p: track_geometric([p])[0], framings))
+    points = track_geometric(framings)
     return emit_csv([_saddle_row(p, pt) for p, pt in zip(framings, points)],
                     _SADDLE_SCHEMA)
 
 
 def _cmd_growth(args):
-    N_values = args.N_list
-    with ThreadPoolExecutor(max_workers=_worker_count(len(N_values) or 1)) as pool:
-        rows = list(pool.map(lambda N: growth_profile(args.p, [N])[0], N_values))
-    rows.sort(key=lambda row: row[0])
-    return emit_csv(rows, ["N", "log_tau", "log_tau_over_N", "log_tau_over_log_N"])
+    return emit_csv(growth_profile(args.p, args.N_list),
+                    ["N", "log_tau", "log_tau_over_N", "log_tau_over_log_N"])
 
 
 def _cmd_special(args):

@@ -1,4 +1,4 @@
-"""Error types shared by the olim41 modules."""
+"""Error types shared by the olim41 modules, and the framing check."""
 
 
 class DomainError(ValueError):
@@ -27,3 +27,10 @@ class ReferenceDataError(DomainError):
 class PrecisionExhaustedError(DomainError):
     """A q-series replay reached its round cap without meeting the
     relative accuracy budget, and the sum is not certified to be zero."""
+
+
+def checked_framing(p):
+    """p itself when it is an int (bool excluded); DomainError otherwise."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise DomainError(f"surgery coefficient must be an integer, got {p!r}")
+    return p

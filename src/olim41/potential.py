@@ -27,7 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BranchInconsistencyError, DomainError, SingularPointError
+from .errors import (
+    BranchInconsistencyError,
+    DomainError,
+    SingularPointError,
+    checked_framing,
+)
 from .specfun import dilog, principal_log
 
 __all__ = [
@@ -58,19 +63,16 @@ class HypersumSpec:
     """Shape of a q-hypersum: signs, linear forms, and quadratic form.
 
     epsilon[a] is the sign of the a-th Pochhammer factor, linear_forms[a]
-    its index l_a as (coefficients over n_1..n_k, constant). linear_term_L
-    is the linear exponent form of the summand, stored for completeness
-    only; the potential does not use it. quadratic maps (i, j) with
-    1 <= i <= j <= k to the rational coefficient r_ij.
+    its index l_a as (coefficients over n_1..n_k, constant). quadratic maps
+    (i, j) with 1 <= i <= j <= k to the rational coefficient r_ij.
     """
 
     k: int
     epsilon: tuple
     linear_forms: tuple
-    linear_term_L: tuple
     quadratic: tuple
 
-    def __init__(self, k, epsilon, linear_forms, linear_term_L, quadratic):
+    def __init__(self, k, epsilon, linear_forms, quadratic):
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise DomainError(f"variable count must be a nonnegative integer, got {k!r}")
         epsilon = tuple(epsilon)
@@ -95,13 +97,6 @@ class HypersumSpec:
             raise DomainError(
                 f"{len(epsilon)} signs for {len(forms)} linear forms"
             )
-        l_coeffs, l_const = linear_term_L
-        linear_term = (
-            tuple(_as_fraction(c, "linear term coefficient") for c in l_coeffs),
-            _as_fraction(l_const, "linear term constant"),
-        )
-        if len(linear_term[0]) != k:
-            raise DomainError(f"linear term must have {k} coefficients")
         quad = []
         for (i, j), r in dict(quadratic).items():
             if not (1 <= i <= j <= k):
@@ -113,7 +108,6 @@ class HypersumSpec:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "linear_forms", forms)
-        object.__setattr__(self, "linear_term_L", linear_term)
         object.__setattr__(self, "quadratic", tuple(quad))
 
     @property
@@ -156,11 +150,10 @@ def fig8_spec(p):
     """Hypersum shape of the tau_N(M_p) double sum over (n, m).
 
     alpha = 4 factors with signs (+, -, +, -) and indices
-    (n, n-1, n+m, n-m-1); quadratic form p/4 n^2 - n m; linear term -n/2.
+    (n, n-1, n+m, n-m-1); quadratic form p/4 n^2 - n m.
     The monomials are x_1 = x_2 = z, x_3 = z w, x_4 = z / w.
     """
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"surgery coefficient must be an integer, got {p!r}")
+    p = checked_framing(p)
     return HypersumSpec(
         k=2,
         epsilon=(1, -1, 1, -1),
@@ -170,7 +163,6 @@ def fig8_spec(p):
             ((1, 1), 0),
             ((1, -1), -1),
         ),
-        linear_term_L=((Fraction(-1, 2), Fraction(0)), Fraction(0)),
         quadratic={(1, 1): Fraction(p, 4), (1, 2): Fraction(-1), (2, 2): Fraction(0)},
     )
 

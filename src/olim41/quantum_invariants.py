@@ -37,7 +37,12 @@ import mpmath as mp
 
 from ._kernels import direct_sum as _direct_sum_f64
 from ._kernels import double_sum as _double_sum_f64
-from .errors import DomainError, PrecisionExhaustedError, UnsupportedFramingError
+from .errors import (
+    DomainError,
+    PrecisionExhaustedError,
+    UnsupportedFramingError,
+    checked_framing,
+)
 
 __all__ = [
     "RootOfUnityContext",
@@ -56,7 +61,8 @@ _GUARD_DPS = 22
 _MAX_ESCALATIONS = 8
 _CERTIFICATE_PRIME_FLOOR = 2 ** 61
 _CERTIFICATE_PRIMES = 2
-# mpmath precision state is process-global; serialize escalated evaluations.
+# mpmath precision state is process-global, and library callers may run
+# wrt_direct / wrt_double_sum from several threads; serialize the replays.
 _MP_LOCK = threading.Lock()
 
 
@@ -99,12 +105,6 @@ class RootOfUnityContext:
 
     def __repr__(self):
         return f"RootOfUnityContext(N={self.N})"
-
-
-def _checked_framing(p):
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"surgery coefficient must be an integer, got {p!r}")
-    return p
 
 
 def quantum_integer(ctx, n):
@@ -342,7 +342,7 @@ def wrt_direct(ctx, p):
     errors: UnsupportedFramingError for p <= 0, where this prefactor is
     not valid; wrt_double_sum covers every integer framing.
     """
-    p = _checked_framing(p)
+    p = checked_framing(p)
     if p <= 0:
         raise UnsupportedFramingError(
             f"direct form requires a positive surgery coefficient, got {p}"
@@ -366,7 +366,7 @@ def wrt_double_sum(ctx, p):
     definition; a framing-phase mismatch against other conventions is
     possible there, but |tau_N| is unaffected.
     """
-    p = _checked_framing(p)
+    p = checked_framing(p)
     value, abs_sum = _double_sum_f64(ctx.N, p)
     value = _escalated(value, abs_sum, ctx.N, p, _double_sum_mp, _double_sum_mod)
     if not value:

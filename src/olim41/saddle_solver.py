@@ -31,7 +31,12 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BranchInconsistencyError, DomainError, SingularPointError
+from .errors import (
+    BranchInconsistencyError,
+    DomainError,
+    SingularPointError,
+    checked_framing,
+)
 from .potential import branch_correct, fig8_potential
 from .specfun import principal_log
 
@@ -96,12 +101,6 @@ class SaddlePoint:
     def value(self):
         """Branch-corrected optimistic limit V at this point."""
         return self.correction.value
-
-
-def _checked_framing(p):
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"surgery coefficient must be an integer, got {p!r}")
-    return p
 
 
 def _system(p, s, w):
@@ -257,7 +256,7 @@ def residual_fig8(p, zeta, omega):
     z^{p/2} means exp((p/2) Log z); if that sign fails, the opposite
     square-root sheet is also tried and the smaller defect returned.
     """
-    p = _checked_framing(p)
+    p = checked_framing(p)
     return _sheet_residual(p, complex(zeta), complex(omega))[0]
 
 
@@ -269,7 +268,7 @@ def solve_fig8(p, opts=None):
     of cleared-root artifacts, branch-corrected and classified. Points are
     sorted by label rank, then lexicographically by coordinates.
     """
-    p = _checked_framing(p)
+    p = checked_framing(p)
     opts = opts if opts is not None else SolverOptions()
     pf = fig8_potential(p)
 
@@ -404,7 +403,7 @@ def track_geometric(p_values, opts=None):
     results = []
     previous = None
     for p in p_values:
-        p = _checked_framing(p)
+        p = checked_framing(p)
         if p < 1:
             raise DomainError(f"geometric tracking needs p >= 1, got {p}")
         pf = fig8_potential(p)

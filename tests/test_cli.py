@@ -152,19 +152,12 @@ class TestSweepCommand:
 
 
 class TestGrowthCommand:
-    def test_rows_sorted(self, capsys, monkeypatch):
-        monkeypatch.setenv("OLIM_WRT_THREADS", "2")
+    def test_rows_sorted(self, capsys):
         code, out, _ = _run(["growth", "--p", "6", "--N-list", "20,10"], capsys)
         assert code == 0
         header, rows = _rows(out)
         assert header == ["N", "log_tau", "log_tau_over_N", "log_tau_over_log_N"]
         assert [int(r["N"]) for r in rows] == [10, 20]
-
-    def test_thread_cap_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("OLIM_WRT_THREADS", "0")
-        code, _, err = _run(["growth", "--p", "6", "--N-list", "10"], capsys)
-        assert code == 1
-        assert "OLIM_WRT_THREADS" in err
 
     def test_bad_n_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -67,7 +67,6 @@ class TestSpecConstruction:
         assert quad[(1, 1)] == Fraction(3, 2)
         assert quad[(1, 2)] == Fraction(-1)
         assert quad[(2, 2)] == Fraction(0)
-        assert spec.linear_term_L == ((Fraction(-1, 2), Fraction(0)), Fraction(0))
 
     def test_fig8_framing_checked(self):
         with pytest.raises(DomainError):
@@ -77,24 +76,24 @@ class TestSpecConstruction:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            HypersumSpec(-1, (), (), ((), 0), {})
+            HypersumSpec(-1, (), (), {})
         with pytest.raises(DomainError):
-            HypersumSpec(1, (2,), (((1,), 0),), (((0,)), 0), {})
+            HypersumSpec(1, (2,), (((1,), 0),), {})
         with pytest.raises(DomainError):
-            HypersumSpec(2, (1,), (((1,), 0),), (((0, 0)), 0), {})  # short form
+            HypersumSpec(2, (1,), (((1,), 0),), {})  # short form
         with pytest.raises(DomainError):
-            HypersumSpec(1, (1, -1), (((1,), 0),), (((0,)), 0), {})  # count mismatch
+            HypersumSpec(1, (1, -1), (((1,), 0),), {})  # count mismatch
         with pytest.raises(DomainError):
-            HypersumSpec(1, (1,), (((1.5,), 0),), (((0,)), 0), {})
+            HypersumSpec(1, (1,), (((1.5,), 0),), {})
         with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), ((0, 0), 0), {(2, 1): 1})  # ji index
+            HypersumSpec(2, (), (), {(2, 1): 1})  # ji index
         with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), ((0, 0), 0), {(1, 3): 1})
+            HypersumSpec(2, (), (), {(1, 3): 1})
         with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), ((0, 0), 0), {(1, 1): "x"})
+            HypersumSpec(2, (), (), {(1, 1): "x"})
 
     def test_empty_spec_gives_zero_potential(self):
-        pf = build_potential(HypersumSpec(0, (), (), ((), 0), {}))
+        pf = build_potential(HypersumSpec(0, (), (), {}))
         assert pf.correction_denominator == 1
         assert eval_potential(pf, ()) == 0j
 

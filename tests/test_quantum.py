@@ -14,7 +14,6 @@ import pytest
 
 from olim41 import _kernels, cli
 from olim41 import quantum_invariants as qi
-from olim41._kernels import _qseries_py
 from olim41.errors import (
     DomainError,
     PrecisionExhaustedError,
@@ -29,11 +28,6 @@ from olim41.quantum_invariants import (
     wrt_direct,
     wrt_double_sum,
 )
-
-try:
-    from olim41._kernels import _qseries_cy
-except ImportError:
-    _qseries_cy = None
 
 TAU_5_P1 = complex(-1.9270509831248422723, -0.95105651629515357211644)
 
@@ -299,19 +293,10 @@ class TestGrowthProfile:
 
 class TestKernelBackends:
     def test_backend_name(self):
-        assert _kernels.backend_name in ("python", "cython")
+        # bench/worker.py reports this name among its machine facts.
+        assert _kernels.backend_name == "python"
 
     def test_abs_sum_bounds_value(self):
-        for fn in (_qseries_py.direct_sum, _qseries_py.double_sum):
+        for fn in (_kernels.direct_sum, _kernels.double_sum):
             value, abs_sum = fn(30, 6)
             assert abs(value) <= abs_sum * (1 + 1e-12)
-
-    @pytest.mark.skipif(_qseries_cy is None, reason="compiled kernel not built")
-    def test_backends_agree_within_noise(self):
-        for N in (10, 40, 90):
-            for p in (1, 6):
-                for name in ("direct_sum", "double_sum"):
-                    v_py, a_py = getattr(_qseries_py, name)(N, p)
-                    v_cy, a_cy = getattr(_qseries_cy, name)(N, p)
-                    noise = max(a_py, a_cy) * 1e-15
-                    assert abs(v_py - v_cy) <= noise
