@@ -27,14 +27,9 @@ from .geometry_reference import (
 )
 from .potential import (
     BranchCorrection,
-    HypersumSpec,
-    PotentialFunction,
     branch_correct,
-    build_potential,
     eval_log_gradient,
     eval_potential,
-    fig8_potential,
-    fig8_spec,
 )
 from .quantum_invariants import (
     RootOfUnityContext,
@@ -47,7 +42,6 @@ from .quantum_invariants import (
 )
 from .saddle_solver import (
     SaddlePoint,
-    SolverOptions,
     classify,
     residual_fig8,
     solve_fig8,
@@ -69,19 +63,15 @@ __all__ = [
     "BranchInconsistencyError",
     "DomainError",
     "GeometryReference",
-    "HypersumSpec",
     "MatchReport",
-    "PotentialFunction",
     "PrecisionExhaustedError",
     "ReferenceDataError",
     "RootOfUnityContext",
     "SaddlePoint",
     "SingularPointError",
-    "SolverOptions",
     "UnsupportedFramingError",
     "bernoulli2_periodic",
     "branch_correct",
-    "build_potential",
     "builtin_references",
     "classify",
     "clausen2",
@@ -91,8 +81,6 @@ __all__ = [
     "dilog_unit_circle_decomposition",
     "eval_log_gradient",
     "eval_potential",
-    "fig8_potential",
-    "fig8_spec",
     "formula_discrepancy",
     "growth_profile",
     "infinity_solution",

@@ -11,9 +11,14 @@ one candidate pool: the exact resultant-style elimination (substituting
 w = (s^2 + s^p)/(1 + s^{p+2}) into the w-quadratic and clearing
 denominators) whose roots a dense companion-matrix solver finds, and a
 damped Newton iteration from a grid of complex starts seeded with the two
-roots of the w-quadratic at each grid point. The grid path exists because
-clearing denominators silently drops solutions with 1 + s^{p+2} = 0, such
-as z = -1 at p = 4, which the sources of truth require.
+roots of the w-quadratic at each grid point. The grid path exists for the
+z = -1 solutions, such as (-1, (-3 +- sqrt 5)/2) at p = 4, which the
+sources of truth require. At every p = 0 (mod 4) the numerator s^2 + s^p
+and the denominator 1 + s^{p+2} both vanish at s = +-i, so the cleared
+polynomial has a double root there, but np.roots returns it about 1e-8
+off, where |1 + s^{p+2}| is 2e-8 or more. That is above the 1e-8 test
+that reseeds w from the quadratic, so the elimination path substitutes a
+meaningless w, and only the grid finds z = -1.
 
 Candidates are polished, snapped onto the real/imaginary axes when within
 rounding distance, deduplicated in (z, w), filtered of the spurious roots
@@ -37,12 +42,11 @@ from .errors import (
     SingularPointError,
     checked_framing,
 )
-from .potential import branch_correct, fig8_potential
+from .potential import branch_correct
 from .specfun import principal_log
 
 __all__ = [
     "SaddlePoint",
-    "SolverOptions",
     "solve_fig8",
     "residual_fig8",
     "symmetry_orbit",
@@ -55,6 +59,11 @@ _log = logging.getLogger(__name__)
 _RESIDUAL_BOUND = 1e-10     # polished points must satisfy the system this well
 _SPURIOUS_RADIUS = 1e-8     # |s|, |w|, or |z - 1| below this is a cleared root
 _SNAP_EPS = 1e-12           # relative distance for snapping onto an axis
+_NEWTON_TOLERANCE = 1e-13   # residual at which Newton stops
+_MAX_ITERATIONS = 60        # Newton steps per start
+_DEDUP_DISTANCE = 1e-9      # max-norm distance at which points merge
+_GRID_DENSITY = 24          # grid starts per axis of the s-square
+_MEMBERSHIP_DISTANCE = 1e-8  # orbit membership of the geometric candidate
 _LABEL_RANK = {
     "geometric-candidate": 0,
     "conjugate": 1,
@@ -62,23 +71,6 @@ _LABEL_RANK = {
     "real": 3,
     "other": 4,
 }
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tunables of the critical-point search; all must be positive."""
-
-    newton_tolerance: float = 1e-13
-    max_iterations: int = 60
-    dedup_distance: float = 1e-9
-    grid_density: int = 24
-
-    def __post_init__(self):
-        for name in ("newton_tolerance", "max_iterations", "dedup_distance",
-                     "grid_density"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +110,13 @@ def _residual_sw(p, s, w):
     return r if math.isfinite(r) else math.inf
 
 
-def _newton(p, s, w, opts):
+def _newton(p, s, w):
     """Damped Newton on the (s, w) system; returns (s, w, residual, ok)."""
     res = _residual_sw(p, s, w)
     if not math.isfinite(res):
         return s, w, math.inf, False
-    for _ in range(opts.max_iterations):
-        if res < opts.newton_tolerance:
+    for _ in range(_MAX_ITERATIONS):
+        if res < _NEWTON_TOLERANCE:
             return s, w, res, True
         try:
             z = s * s
@@ -157,9 +149,9 @@ def _newton(p, s, w, opts):
                     break
             step *= 0.5
         if not improved:
-            return s, w, res, res < opts.newton_tolerance
+            return s, w, res, res < _NEWTON_TOLERANCE
         s, w, res = s_next, w_next, r_next
-    return s, w, res, res < opts.newton_tolerance
+    return s, w, res, res < _NEWTON_TOLERANCE
 
 
 def _sparse_poly(terms):
@@ -213,13 +205,15 @@ def _elimination_starts(p):
         if abs(denom) > 1e-8 * (1 + abs(numer)):
             yield s, numer / denom
         else:
-            # denominator-degenerate root; reseed w from the quadratic
+            # denominator-degenerate root; reseed w from the quadratic.
+            # The s = +-i double roots at p = 0 (mod 4) land about 1e-8
+            # off and miss this branch (see the module docstring).
             for w in _quadratic_w_roots(s * s):
                 yield s, w
 
 
-def _grid_starts(opts):
-    span = np.linspace(-1.75, 1.75, opts.grid_density)
+def _grid_starts():
+    span = np.linspace(-1.75, 1.75, _GRID_DENSITY)
     for re in span:
         for im in span:
             s = complex(re, im)
@@ -260,21 +254,19 @@ def residual_fig8(p, zeta, omega):
     return _sheet_residual(p, complex(zeta), complex(omega))[0]
 
 
-def solve_fig8(p, opts=None):
+def solve_fig8(p):
     """All critical points of the surgery potential at framing p.
 
     Union of the elimination roots and the grid Newton search, polished to
-    opts.newton_tolerance, deduplicated at opts.dedup_distance, filtered
+    a residual below 1e-13, deduplicated at max-norm distance 1e-9, filtered
     of cleared-root artifacts, branch-corrected and classified. Points are
     sorted by label rank, then lexicographically by coordinates.
     """
     p = checked_framing(p)
-    opts = opts if opts is not None else SolverOptions()
-    pf = fig8_potential(p)
 
     polished = []
-    for s0, w0 in chain(_elimination_starts(p), _grid_starts(opts)):
-        s, w, res, ok = _newton(p, s0, w0, opts)
+    for s0, w0 in chain(_elimination_starts(p), _grid_starts()):
+        s, w, res, ok = _newton(p, s0, w0)
         if not ok:
             _log.debug("start (%.3g%+.3gj, %.3g%+.3gj) stalled at residual %.3g",
                        s0.real, s0.imag, w0.real, w0.imag, res)
@@ -302,7 +294,7 @@ def solve_fig8(p, opts=None):
     for z, w, residual, sheet in polished:
         merged = False
         for idx, (zk, wk, rk, sk) in enumerate(kept):
-            if max(abs(z - zk), abs(w - wk)) < opts.dedup_distance:
+            if max(abs(z - zk), abs(w - wk)) < _DEDUP_DISTANCE:
                 if residual < rk:
                     kept[idx] = (z, w, residual, sheet)
                 merged = True
@@ -313,7 +305,7 @@ def solve_fig8(p, opts=None):
     points = []
     for z, w, residual, sheet in kept:
         try:
-            correction = branch_correct(pf, (z, w))
+            correction = branch_correct(p, (z, w))
         except (BranchInconsistencyError, SingularPointError) as exc:
             _log.warning("dropping (%s, %s) at p=%d: %s", z, w, p, exc)
             continue
@@ -354,14 +346,14 @@ def symmetry_orbit(point, dedup_distance=1e-9):
     return orbit
 
 
-def classify(points, membership_distance=1e-8):
+def classify(points):
     """Fill labels on polished points.
 
     The geometric-candidate is the point of maximal Im V among those with
     Im V > 0 (ties within 1e-9 broken lexicographically by (Re zeta,
-    Im zeta)); its remaining orbit members are labeled conjugate. Of the
-    rest, ||zeta| - 1| < 1e-9 is unit-modulus and both coordinates real to
-    1e-9 is real; everything else is other.
+    Im zeta)); points within 1e-8 of its remaining orbit members are
+    labeled conjugate. Of the rest, ||zeta| - 1| < 1e-9 is unit-modulus and
+    both coordinates real to 1e-9 is real; everything else is other.
     """
     if not points:
         return []
@@ -371,13 +363,13 @@ def classify(points, membership_distance=1e-8):
         top = max(pt.correction.value.imag for pt in positive)
         ties = [pt for pt in positive if pt.correction.value.imag >= top - 1e-9]
         geometric = min(ties, key=lambda pt: (pt.zeta.real, pt.zeta.imag))
-    orbit = symmetry_orbit(geometric, membership_distance) if geometric else []
+    orbit = symmetry_orbit(geometric, _MEMBERSHIP_DISTANCE) if geometric else []
 
     labeled = []
     for pt in points:
         if geometric is not None and pt is geometric:
             label = "geometric-candidate"
-        elif any(max(abs(pt.zeta - z), abs(pt.omega - w)) < membership_distance
+        elif any(max(abs(pt.zeta - z), abs(pt.omega - w)) < _MEMBERSHIP_DISTANCE
                  for z, w in orbit):
             label = "conjugate"
         elif abs(abs(pt.zeta) - 1) < 1e-9:
@@ -390,7 +382,7 @@ def classify(points, membership_distance=1e-8):
     return labeled
 
 
-def track_geometric(p_values, opts=None):
+def track_geometric(p_values):
     """Geometric-candidate branch over a sequence of framings.
 
     Each p is tried from the large-p start (s, w) = (e^{-i pi/p},
@@ -399,20 +391,18 @@ def track_geometric(p_values, opts=None):
     to a point with Im V > 0 falls back to solve_fig8, and DomainError is
     raised when even that has no geometric candidate.
     """
-    opts = opts if opts is not None else SolverOptions()
     results = []
     previous = None
     for p in p_values:
         p = checked_framing(p)
         if p < 1:
             raise DomainError(f"geometric tracking needs p >= 1, got {p}")
-        pf = fig8_potential(p)
         starts = [(cmath.exp(-1j * math.pi / p), cmath.exp(-1j * math.pi / 3))]
         if previous is not None:
             starts.append(previous)
         point = None
         for s0, w0 in starts:
-            s, w, res, ok = _newton(p, s0, w0, opts)
+            s, w, res, ok = _newton(p, s0, w0)
             if not ok:
                 continue
             z = _snap_axis(s * s)
@@ -421,7 +411,7 @@ def track_geometric(p_values, opts=None):
             if residual >= _RESIDUAL_BOUND or abs(z - 1) <= _SPURIOUS_RADIUS:
                 continue
             try:
-                correction = branch_correct(pf, (z, w))
+                correction = branch_correct(p, (z, w))
             except (BranchInconsistencyError, SingularPointError):
                 continue
             if correction.value.imag > 1e-9:
@@ -432,7 +422,7 @@ def track_geometric(p_values, opts=None):
                 break
         if point is None:
             _log.info("continuation failed at p=%d; enumerating", p)
-            candidates = [pt for pt in solve_fig8(p, opts)
+            candidates = [pt for pt in solve_fig8(p)
                           if pt.label == "geometric-candidate"]
             if not candidates:
                 raise DomainError(f"no geometric candidate at p={p}")

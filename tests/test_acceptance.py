@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from olim41.geometry_reference import limit_infinity
-from olim41.potential import eval_log_gradient, eval_potential, fig8_potential
+from olim41.potential import eval_log_gradient, eval_potential
 from olim41.quantum_invariants import (
     RootOfUnityContext,
     formula_discrepancy,
@@ -243,7 +243,7 @@ def test_criterion_10_special_function_suite():
     def cut_distance(x):
         return abs(x.imag) if x.real >= 1.0 else abs(x - 1.0)
 
-    pf = fig8_potential(6)
+    p = 6
     rng = random.Random(1031)
     h = 1e-6
     gradient = 0.0
@@ -253,11 +253,11 @@ def test_criterion_10_special_function_suite():
         w = cmath.rect(rng.uniform(0.4, 1.6), rng.uniform(-2.4, 2.4))
         if min(cut_distance(z * w), cut_distance(z / w)) < 0.1:
             continue
-        dz, dw = eval_log_gradient(pf, (z, w))
-        fd_z = (eval_potential(pf, (z * math.exp(h), w))
-                - eval_potential(pf, (z * math.exp(-h), w))) / (2 * h)
-        fd_w = (eval_potential(pf, (z, w * math.exp(h)))
-                - eval_potential(pf, (z, w * math.exp(-h)))) / (2 * h)
+        dz, dw = eval_log_gradient(p, (z, w))
+        fd_z = (eval_potential(p, (z * math.exp(h), w))
+                - eval_potential(p, (z * math.exp(-h), w))) / (2 * h)
+        fd_w = (eval_potential(p, (z, w * math.exp(h)))
+                - eval_potential(p, (z, w * math.exp(-h)))) / (2 * h)
         gradient = max(gradient,
                        abs(fd_z - dz) / max(abs(dz), 1e-3),
                        abs(fd_w - dw) / max(abs(dw), 1e-3))

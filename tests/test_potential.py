@@ -1,4 +1,4 @@
-"""Potential-function tests: spec construction, values, gradients, branches.
+"""Potential-function tests: framing checks, values, gradients, branches.
 
 Anchor points are frozen saddle coordinates of the surgery potential; their
 corrected values and gradients were cross-checked against a 30-digit replay
@@ -19,14 +19,11 @@ from olim41.errors import (
     SingularPointError,
 )
 from olim41.potential import (
-    HypersumSpec,
     branch_correct,
-    build_potential,
     eval_log_gradient,
     eval_potential,
-    fig8_potential,
-    fig8_spec,
 )
+from olim41.saddle_solver import solve_fig8
 from olim41.specfun import principal_log
 
 PI = math.pi
@@ -55,68 +52,33 @@ def _regular_points(count, seed):
 
 
 class TestSpecConstruction:
-    def test_fig8_shape(self):
-        spec = fig8_spec(6)
-        assert spec.k == 2
-        assert spec.alpha == 4
-        assert spec.epsilon == (1, -1, 1, -1)
-        assert sum(spec.epsilon) == 0  # sign pairing the gradient relies on
-        assert spec.linear_forms == (
-            ((1, 0), 0), ((1, 0), -1), ((1, 1), 0), ((1, -1), -1))
-        quad = dict(spec.quadratic)
-        assert quad[(1, 1)] == Fraction(3, 2)
-        assert quad[(1, 2)] == Fraction(-1)
-        assert quad[(2, 2)] == Fraction(0)
-
     def test_fig8_framing_checked(self):
-        with pytest.raises(DomainError):
-            fig8_spec(2.5)
-        with pytest.raises(DomainError):
-            fig8_spec(True)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            HypersumSpec(-1, (), (), {})
-        with pytest.raises(DomainError):
-            HypersumSpec(1, (2,), (((1,), 0),), {})
-        with pytest.raises(DomainError):
-            HypersumSpec(2, (1,), (((1,), 0),), {})  # short form
-        with pytest.raises(DomainError):
-            HypersumSpec(1, (1, -1), (((1,), 0),), {})  # count mismatch
-        with pytest.raises(DomainError):
-            HypersumSpec(1, (1,), (((1.5,), 0),), {})
-        with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), {(2, 1): 1})  # ji index
-        with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), {(1, 3): 1})
-        with pytest.raises(DomainError):
-            HypersumSpec(2, (), (), {(1, 1): "x"})
-
-    def test_empty_spec_gives_zero_potential(self):
-        pf = build_potential(HypersumSpec(0, (), (), {}))
-        assert pf.correction_denominator == 1
-        assert eval_potential(pf, ()) == 0j
+        for fn in (eval_potential, eval_log_gradient, branch_correct):
+            with pytest.raises(DomainError):
+                fn(2.5, G_POINT)
+            with pytest.raises(DomainError):
+                fn(True, G_POINT)
 
     def test_correction_denominator_parity(self):
         # odd framings step the gradient by pi i, so they live on half-integers
         for p in range(-4, 8):
-            pf = fig8_potential(p)
-            assert pf.correction_denominator == (2 if p % 2 else 1)
-
-    def test_only_nonzero_log_pairs_kept(self):
-        pf = fig8_potential(0)
-        assert pf.log_pairs == ((0, 1, Fraction(-1)),)
+            denominators = {
+                f.denominator
+                for pt in solve_fig8(p)
+                for f in branch_correct(p, (pt.zeta, pt.omega)).c
+            }
+            assert denominators == ({1, 2} if p % 2 else {1}), f"p={p}"
 
 
 class TestValues:
     def test_vanishes_at_unit_point(self):
         for p in (-2, 0, 1, 4, 6, 9):
-            assert abs(eval_potential(fig8_potential(p), (1.0, 1.0))) < 1e-12
+            assert abs(eval_potential(p, (1.0, 1.0))) < 1e-12
 
     def test_closed_form(self):
         # Vt = -Li2(zw) + Li2(z/w) + (p/4) Log^2 z - Log z Log w
         from olim41.specfun import dilog
-        pf = fig8_potential(6)
+        p = 6
         rng = random.Random(47)
         for _ in range(50):
             z = complex(rng.uniform(0.2, 0.9), rng.uniform(-0.5, 0.5))
@@ -124,27 +86,27 @@ class TestValues:
             expected = (-dilog(z * w) + dilog(z / w)
                         + 1.5 * principal_log(z) ** 2
                         - principal_log(z) * principal_log(w))
-            assert abs(eval_potential(pf, (z, w)) - expected) < 1e-12
+            assert abs(eval_potential(p, (z, w)) - expected) < 1e-12
 
     def test_zero_coordinate_rejected(self):
-        pf = fig8_potential(6)
+        p = 6
         with pytest.raises(SingularPointError):
-            eval_potential(pf, (0.0, 0.5))
+            eval_potential(p, (0.0, 0.5))
         with pytest.raises(DomainError):
-            eval_potential(pf, (0.5,))
+            eval_potential(p, (0.5,))
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
-        pf = fig8_potential(6)
+        p = 6
         h = 1e-6
         worst = 0.0
         for z, w in _regular_points(100, 31):
-            dz, dw = eval_log_gradient(pf, (z, w))
-            fd_z = (eval_potential(pf, (z * math.exp(h), w))
-                    - eval_potential(pf, (z * math.exp(-h), w))) / (2 * h)
-            fd_w = (eval_potential(pf, (z, w * math.exp(h)))
-                    - eval_potential(pf, (z, w * math.exp(-h)))) / (2 * h)
+            dz, dw = eval_log_gradient(p, (z, w))
+            fd_z = (eval_potential(p, (z * math.exp(h), w))
+                    - eval_potential(p, (z * math.exp(-h), w))) / (2 * h)
+            fd_w = (eval_potential(p, (z, w * math.exp(h)))
+                    - eval_potential(p, (z, w * math.exp(-h)))) / (2 * h)
             worst = max(worst,
                         abs(fd_z - dz) / max(abs(dz), 1e-3),
                         abs(fd_w - dw) / max(abs(dw), 1e-3))
@@ -154,7 +116,6 @@ class TestGradient:
         # exp(D_z) = z^{p/2} (1-zw) / ((1-z/w) w), exp(D_w) = (1-zw)(1-z/w)/z;
         # exp removes every branch ambiguity, so this holds at generic points
         for p, seed in ((5, 37), (6, 41)):
-            pf = fig8_potential(p)
             rng = random.Random(seed)
             count = 0
             worst = 0.0
@@ -166,7 +127,7 @@ class TestGradient:
                 if min(abs(1 - z * w), abs(1 - z / w)) < 1e-3:
                     continue
                 try:
-                    dz, dw = eval_log_gradient(pf, (z, w))
+                    dz, dw = eval_log_gradient(p, (z, w))
                 except SingularPointError:
                     continue
                 half = cmath.exp(0.5 * p * principal_log(z))
@@ -179,49 +140,49 @@ class TestGradient:
             assert worst < 1e-10
 
     def test_saddle_gradients(self):
-        pf = fig8_potential(6)
-        dz, dw = eval_log_gradient(pf, A_POINT)
+        p = 6
+        dz, dw = eval_log_gradient(p, A_POINT)
         assert abs(dz + 2j * PI) < 1e-8  # off by one full branch, c_1 = 1
         assert abs(dw) < 1e-8
-        dz, dw = eval_log_gradient(pf, G_POINT)
+        dz, dw = eval_log_gradient(p, G_POINT)
         assert abs(dz) < 1e-8
         assert abs(dw) < 1e-8
 
     def test_singular_monomial_rejected(self):
-        pf = fig8_potential(6)
+        p = 6
         with pytest.raises(SingularPointError):
-            eval_log_gradient(pf, (1.0, 1.0))
+            eval_log_gradient(p, (1.0, 1.0))
         with pytest.raises(SingularPointError):
-            eval_log_gradient(pf, (0.5, 0.5))  # z/w = 1
+            eval_log_gradient(p, (0.5, 0.5))  # z/w = 1
 
 
 class TestBranchCorrection:
     def test_unit_modulus_saddle(self):
-        bc = branch_correct(fig8_potential(6), A_POINT)
+        bc = branch_correct(6, A_POINT)
         assert bc.c == (Fraction(1), Fraction(0))
         assert max(bc.rounding_residuals) < 1e-4
         assert abs(bc.value - 13.767505694281377) < 1e-8
         assert abs(bc.value.imag) < 1e-9
 
     def test_geometric_saddle(self):
-        bc = branch_correct(fig8_potential(6), G_POINT)
+        bc = branch_correct(6, G_POINT)
         assert bc.c == (Fraction(0), Fraction(0))
         assert abs(bc.value - complex(1.340917487, 1.284485301)) < 5e-9
 
     def test_degenerate_p4_saddle(self):
-        bc = branch_correct(fig8_potential(4), B_POINT)
+        bc = branch_correct(4, B_POINT)
         assert bc.c == (Fraction(0), Fraction(0))
         assert abs(bc.value - PI * PI / 5) < 1e-7
         assert abs(bc.value - 1.973920880) < 1e-8
 
     def test_corrected_gradient_vanishes(self):
-        pf = fig8_potential(6)
+        p = 6
         for point in (A_POINT, G_POINT):
-            bc = branch_correct(pf, point)
-            gradient = eval_log_gradient(pf, point)
+            bc = branch_correct(p, point)
+            gradient = eval_log_gradient(p, point)
             for d, c in zip(gradient, bc.c):
                 assert abs(d + 2j * PI * float(c)) < 1e-7
 
     def test_generic_point_rejected(self):
         with pytest.raises(BranchInconsistencyError):
-            branch_correct(fig8_potential(6), (complex(0.5, 0.5), complex(0.7, 0.0)))
+            branch_correct(6, (complex(0.5, 0.5), complex(0.7, 0.0)))

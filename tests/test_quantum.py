@@ -180,6 +180,22 @@ class TestWrt:
             assert math.isfinite(value.real) and math.isfinite(value.imag)
             assert abs(value) > 1e-6
 
+    def test_amphichirality_identity(self):
+        # 4_1 is amphichiral, so M_{-p} is M_p with its orientation reversed;
+        # the prefactor convention leaves the phase e^{i pi (1/2 + 3/N)}
+        worst = 0.0
+        for N in (5, 8, 12, 17, 24, 31):
+            ctx = RootOfUnityContext(N)
+            phase = cmath.exp(1j * math.pi * (0.5 + 3 / N))
+            for p in (1, 3, 4, 5, 7, 8):
+                plus = wrt_double_sum(ctx, p)
+                minus = wrt_double_sum(ctx, -p)
+                if plus == 0 or minus == 0:
+                    assert plus == minus, f"N={N}, p={p}"
+                    continue
+                worst = max(worst, abs(plus / minus.conjugate() - phase))
+        assert worst < 1e-12
+
     def test_escalated_region_still_agrees(self):
         # N past ~52 has enough cancellation to force the mpmath replay
         ctx = RootOfUnityContext(60)
