@@ -10,22 +10,23 @@ The f64 kernels also report the summed magnitude of their terms. The sum
 cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
 polynomially bounded), so when the implied rounding noise abs_sum * 1e-15
 exceeds a 1e-12 relative budget the sum is replayed in the same fixed
-(n, m) order under mpmath. The replay precision comes from the measured
-cancellation of the previous round and is re-checked after each replay: a
-round whose result is itself pure rounding noise (the true value sits far
-below that round's floor) escalates again instead of being trusted, so
-the precision climbs geometrically until the floor clears the budget.
+(n, m) order under mpmath, at a precision taken from the cancellation the
+previous round measured. A round whose result is itself rounding noise
+escalates again, so the precision climbs until the floor clears the budget.
 
 An exact zero of tau_N never clears it, so a first replay round that misses
 the budget triggers a zero certificate. Both bare sums lie in Z[zeta],
 zeta = exp(pi*i/(2N)), and for a prime l = 1 (mod 4N) the ring map sending
-zeta to a primitive 4N-th root of unity in F_l evaluates the same sum
-exactly in O(N^2) integer operations. A sum whose image vanishes modulo two
-such primes is returned as exact 0j; otherwise escalation goes on, and a
-sum that still misses the budget at the round cap raises
-PrecisionExhaustedError instead of returning rounding noise. tau_N itself
-fits comfortably in a machine complex, which is what every public function
-returns.
+zeta to a primitive 4N-th root of unity in F_l evaluates them exactly. A
+sum whose image vanishes modulo two such primes is returned as exact 0j;
+any other escalates on, and at the round cap raises PrecisionExhaustedError
+instead of returning rounding noise. Public functions return Python complex.
+
+Each route is one exact-arithmetic loop (_direct_sum, _double_sum) over the
+tables t_a = 2 sin(pi a/N), zeta^j and y_k = 1 - q^k: the replay runs it
+over mpmath tables (_mp_tables), the certificate over their images in F_l
+(_field_tables). The double sum steps its Pochhammer ratio by multiplying,
+so the replay divides nothing.
 """
 
 import cmath
@@ -67,12 +68,12 @@ _MP_LOCK = threading.Lock()
 
 
 class RootOfUnityContext:
-    """The root of unity q = exp(2*pi*i/N) with its power and Pochhammer tables.
+    """The root of unity q = exp(2*pi*i/N) and its fractional powers.
 
     Immutable after construction and shareable across threads.
     """
 
-    __slots__ = ("N", "q", "_poch")
+    __slots__ = ("N", "q")
 
     def __init__(self, N):
         if isinstance(N, bool) or not isinstance(N, int):
@@ -81,10 +82,6 @@ class RootOfUnityContext:
             raise DomainError(f"order must be at least 3, got {N}")
         self.N = N
         self.q = cmath.exp(2j * math.pi / N)
-        poch = [1 + 0j] * N
-        for k in range(1, N):
-            poch[k] = poch[k - 1] * (1 - cmath.exp(2j * math.pi * k / N))
-        self._poch = tuple(poch)
 
     def q_power(self, x):
         """q^x = exp(2*pi*i*x/N), the single fractional-power convention.
@@ -94,14 +91,6 @@ class RootOfUnityContext:
         """
         t = math.fmod(float(x), self.N)
         return cmath.exp(2j * math.pi * t / self.N)
-
-    def pochhammer(self, k):
-        """(q)_k = prod_{j=1}^{k} (1 - q^j); zero for k >= N since 1 - q^N = 0."""
-        if k < 0:
-            raise DomainError(f"Pochhammer index must be nonnegative, got {k}")
-        if k >= self.N:
-            return 0j
-        return self._poch[k]
 
     def __repr__(self):
         return f"RootOfUnityContext(N={self.N})"
@@ -162,9 +151,12 @@ def _escalated(value, abs_sum, N, p, replay, image):
     rounding noise raises the precision by the guard amount and tries
     again. If the first replay misses the budget, _certified_zero(image,
     N, p) is asked whether the sum is exactly zero, and if so 0j is
-    returned. errors: PrecisionExhaustedError when _MAX_ESCALATIONS
-    replays still miss the budget.
+    returned. errors: DomainError when the f64 pass is not finite (it
+    overflows past N of about 2000); PrecisionExhaustedError when
+    _MAX_ESCALATIONS replays still miss the budget.
     """
+    if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
+        raise DomainError(f"tau_{N}(M_{p}): the f64 sum overflowed at N = {N}")
     noise = abs_sum * _NOISE_PER_UNIT
     dps = 0
     for rounds in range(_MAX_ESCALATIONS + 1):
@@ -184,6 +176,42 @@ def _escalated(value, abs_sum, N, p, replay, image):
         f"missed the {_RELATIVE_BUDGET:g} relative budget, and the sum is not "
         f"certified zero"
     )
+
+
+def _direct_sum(N, p, t, zeta, reduce):
+    """t_1^2 times the bare direct sum, in the ring of the tables.
+
+    t[a] = 2 sin(pi a/N) and zeta[j] = zeta^j, zeta = exp(pi*i/(2N)), as
+    _mp_tables builds them; reduce(v) is v in the ring's canonical form.
+    [n]^2 = (t_n / t_1)^2 and each colored Jones factor pair is
+    -t_{n+l} t_{n-l}, so the loop needs no division: the caller divides by
+    t_1^2 where it needs the bare sum.
+    """
+    total = 0
+    for n in range(1, N):
+        prod = jsum = 1
+        for l in range(1, n):
+            prod = reduce(-prod * t[n + l] * t[n - l])
+            jsum += prod
+        total += reduce(t[n] * t[n] * jsum) * zeta[(p * n * n) % (4 * N)]
+    return reduce(total)
+
+
+def _double_sum(N, p, y, zeta, reduce):
+    """The bare double sum, in the ring of the tables.
+
+    y[k] = 1 - q^k and zeta as for _direct_sum. The Pochhammer ratio
+    (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1}) is y_n prod_{j=n-m}^{n+m} y_j,
+    so each step m multiplies in y_{n+m} y_{n-m} and nothing is divided.
+    n + m >= N contributes exactly 0 via (q)_{n+m} = 0; skip it.
+    """
+    total = 0
+    for n in range(1, N):
+        ratio = 1
+        for m in range(min(n, N - n)):
+            ratio = reduce(ratio * y[n + m] * y[n - m])
+            total += ratio * zeta[(p * n * n - 4 * n * m - 4 * n) % (4 * N)]
+    return reduce(total)
 
 
 def _is_prime(n):
@@ -237,44 +265,27 @@ def _certificate_fields(N):
     return tuple(fields)
 
 
-def _direct_sum_mod(N, p, ell, r):
-    """Image in F_ell of the bare direct sum under zeta -> r.
+def _field_tables(N, ell, r):
+    """The replay's three tables in F_ell under zeta -> r, i = zeta^N -> r^N;
+    t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}."""
+    order = 4 * N
+    zeta = [pow(r, j, ell) for j in range(order)]
+    t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
+         for a in range(2 * N)]
+    y = [(1 - zeta[4 * k]) % ell for k in range(N)]
+    return t, zeta, y
 
-    With x_a = zeta^{2a} - zeta^{-2a}, the factor -4 sin(pi a/N) sin(pi b/N)
-    is x_a x_b and [n]^2 = (x_n / x_1)^2; x_1 is a unit since r has order 4N.
-    """
-    zeta = [pow(r, j, ell) for j in range(4 * N)]
-    x = [(zeta[2 * a] - zeta[-2 * a]) % ell for a in range(2 * N)]
-    inv_x1 = pow(x[1], -1, ell)
-    total = 0
-    for n in range(1, N):
-        prod = 1
-        jsum = 1
-        for l in range(1, n):
-            prod = prod * x[n + l] * x[n - l] % ell
-            jsum += prod
-        bracket = x[n] * inv_x1 % ell
-        total += bracket * bracket % ell * jsum % ell * zeta[(p * n * n) % (4 * N)]
-    return total % ell
+
+def _direct_sum_mod(N, p, ell, r):
+    """Image in F_ell of _direct_sum: t_1^2, a unit, times the bare sum."""
+    t, zeta, _ = _field_tables(N, ell, r)
+    return _direct_sum(N, p, t, zeta, lambda v: v % ell)
 
 
 def _double_sum_mod(N, p, ell, r):
-    """Image in F_ell of the bare double sum under zeta -> r.
-
-    Each Pochhammer ratio is the polynomial (1 - q^n) prod_{j=n-m}^{n+m}
-    (1 - q^j) with q = zeta^4; step m -> m+1 multiplies in
-    (1 - q^{n+m+1}) (1 - q^{n-m-1}).
-    """
-    zeta = [pow(r, j, ell) for j in range(4 * N)]
-    y = [(1 - zeta[4 * j]) % ell for j in range(N)]
-    total = 0
-    for n in range(1, N):
-        ratio = y[n] * y[n] % ell
-        for m in range(min(n, N - n)):
-            if m:
-                ratio = ratio * y[n + m] % ell * y[n - m] % ell
-            total += ratio * zeta[(p * n * n - 4 * n * m - 4 * n) % (4 * N)]
-    return total % ell
+    """Image in F_ell of the bare double sum under zeta -> r."""
+    _, zeta, y = _field_tables(N, ell, r)
+    return _double_sum(N, p, y, zeta, lambda v: v % ell)
 
 
 def _certified_zero(image, N, p):
@@ -292,45 +303,29 @@ def _certified_zero(image, N, p):
 
 @lru_cache(maxsize=8)
 def _mp_tables(N, dps):
-    """sin(pi k/N), exp(pi i j/(2N)), and (q)_k tables at dps digits.
+    """t_a = 2 sin(pi a/N), zeta^j = exp(pi i j/(2N)) and y_k = 1 - q^k.
 
-    Shared across surgery coefficients; call while holding _MP_LOCK.
+    The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N);
+    the certificate runs the same loops over their images in F_l, and the
+    double sum divides nothing. Call while holding _MP_LOCK.
     """
     with mp.workdps(dps):
-        sin_tbl = [mp.sinpi(mp.mpf(k) / N) for k in range(2 * N)]
-        phase = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(4 * N)]
-        poch = [mp.mpc(1)] * N
-        for k in range(1, N):
-            poch[k] = poch[k - 1] * (1 - phase[(4 * k) % (4 * N)])
-    return sin_tbl, phase, poch
+        t = [2 * mp.sinpi(mp.mpf(a) / N) for a in range(2 * N)]
+        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(4 * N)]
+        y = [1 - zeta[4 * k] for k in range(N)]
+    return t, zeta, y
 
 
 def _direct_sum_mp(N, p, dps):
     with _MP_LOCK, mp.workdps(dps):
-        sin_tbl, phase, _ = _mp_tables(N, dps)
-        s1 = sin_tbl[1]
-        total = mp.mpc(0)
-        for n in range(1, N):
-            prod = mp.mpf(1)
-            jsum = mp.mpf(1)
-            for l in range(1, n):
-                prod *= -4 * sin_tbl[(n + l) % (2 * N)] * sin_tbl[n - l]
-                jsum += prod
-            bracket = (sin_tbl[n] / s1) ** 2
-            total += bracket * jsum * phase[(p * n * n) % (4 * N)]
-        return complex(total)
+        t, zeta, _ = _mp_tables(N, dps)
+        return complex(_direct_sum(N, p, t, zeta, lambda v: v) / (t[1] * t[1]))
 
 
 def _double_sum_mp(N, p, dps):
     with _MP_LOCK, mp.workdps(dps):
-        sin_tbl, phase, poch = _mp_tables(N, dps)
-        total = mp.mpc(0)
-        for n in range(1, N):
-            # n + m >= N contributes exactly 0 via (q)_{n+m} = 0; skip it.
-            for m in range(min(n, N - n)):
-                ratio = poch[n] * poch[n + m] / (poch[n - 1] * poch[n - m - 1])
-                total += ratio * phase[(p * n * n - 4 * n * m - 4 * n) % (4 * N)]
-        return complex(total)
+        _, zeta, y = _mp_tables(N, dps)
+        return complex(_double_sum(N, p, y, zeta, lambda v: v))
 
 
 def wrt_direct(ctx, p):

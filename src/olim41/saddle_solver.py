@@ -318,12 +318,12 @@ def solve_fig8(p):
     return points
 
 
-def symmetry_orbit(point, dedup_distance=1e-9):
+def symmetry_orbit(point):
     """Orbit {(z, w), (conj z, conj w), (1/z, w), (conj 1/z, conj w)}.
 
     Accepts a SaddlePoint or a bare (zeta, omega) pair; members closer
-    than dedup_distance are merged, so unit-modulus or real points yield
-    orbits of size 2.
+    than _MEMBERSHIP_DISTANCE (1e-8, as in classify) are merged, so
+    unit-modulus or real points yield orbits of size 2.
     """
     if isinstance(point, SaddlePoint):
         zeta, omega = point.zeta, point.omega
@@ -340,7 +340,7 @@ def symmetry_orbit(point, dedup_distance=1e-9):
     members.sort(key=lambda m: (m[0].real, m[0].imag, m[1].real, m[1].imag))
     orbit = []
     for z, w in members:
-        if not any(max(abs(z - zo), abs(w - wo)) < dedup_distance
+        if not any(max(abs(z - zo), abs(w - wo)) < _MEMBERSHIP_DISTANCE
                    for zo, wo in orbit):
             orbit.append((z, w))
     return orbit
@@ -363,7 +363,7 @@ def classify(points):
         top = max(pt.correction.value.imag for pt in positive)
         ties = [pt for pt in positive if pt.correction.value.imag >= top - 1e-9]
         geometric = min(ties, key=lambda pt: (pt.zeta.real, pt.zeta.imag))
-    orbit = symmetry_orbit(geometric, _MEMBERSHIP_DISTANCE) if geometric else []
+    orbit = symmetry_orbit(geometric) if geometric else []
 
     labeled = []
     for pt in points:

@@ -1,15 +1,17 @@
 """Quantum invariant tests: context algebra, colored Jones, dual tau routes.
 
 tau_5(M_1) is pinned from a 50-digit fixed-order replay of the direct sum;
-everything else rests on exact identities (Pochhammer recurrence and
-magnitude product, color symmetry, the J_N positivity identity) and on the
-agreement of the two independent evaluation routes.
+everything else rests on exact identities (color symmetry, the J_N
+positivity identity, the Pochhammer magnitude product), on the agreement
+of the two independent evaluation routes, and on the replay and the zero
+certificate evaluating one element of Z[zeta_{4N}].
 """
 
 import cmath
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from olim41 import _kernels, cli
@@ -59,27 +61,6 @@ class TestContext:
         assert abs(ctx.q_power(4 * 9 + 0.25) - ctx.q_power(0.25)) < 1e-14
         assert abs(ctx.q_power(9) - 1) < 1e-15
 
-    def test_pochhammer_recurrence(self):
-        ctx = RootOfUnityContext(9)
-        assert ctx.pochhammer(0) == 1 + 0j
-        value = 1 + 0j
-        for k in range(1, 9):
-            value *= 1 - cmath.exp(2j * math.pi * k / 9)
-            assert abs(ctx.pochhammer(k) - value) < 1e-13 * abs(value)
-
-    def test_pochhammer_vanishes_at_order(self):
-        ctx = RootOfUnityContext(6)
-        assert ctx.pochhammer(6) == 0j
-        assert ctx.pochhammer(10) == 0j
-        with pytest.raises(DomainError):
-            ctx.pochhammer(-1)
-
-    def test_pochhammer_magnitude_product(self):
-        # prod_{j=1}^{N-1} |1 - q^j| = N
-        for N in (5, 12, 33):
-            ctx = RootOfUnityContext(N)
-            assert abs(abs(ctx.pochhammer(N - 1)) - N) < 1e-10 * N
-
 
 class TestQuantumInteger:
     def test_degenerate_colors_are_zero(self):
@@ -127,7 +108,10 @@ class TestColoredJones:
         # J_N = sum_m |(q)_m|^2, real and positive
         ctx = RootOfUnityContext(11)
         value = colored_jones_fig8(ctx, 11)
-        expected = sum(abs(ctx.pochhammer(m)) ** 2 for m in range(11))
+        poch = [1 + 0j]
+        for k in range(1, 11):
+            poch.append(poch[-1] * (1 - cmath.exp(2j * math.pi * k / 11)))
+        expected = sum(abs(x) ** 2 for x in poch)
         assert value.real > 0
         assert abs(value - expected) < 1e-10 * expected
 
@@ -246,6 +230,23 @@ class TestCertifiedZeros:
         assert captured.err.count("\n") == 1
 
 
+    def test_overflowed_f64_pass_raises(self, monkeypatch, capsys):
+        # The f64 kernels overflow between N = 2000 and 2300.
+        overflow = lambda N, p: (complex(math.nan, math.nan), math.inf)
+        monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
+        monkeypatch.setattr(qi, "_double_sum_f64", overflow)
+        ctx = RootOfUnityContext(2300)
+        with pytest.raises(DomainError, match="N = 2300"):
+            wrt_direct(ctx, 6)
+        with pytest.raises(DomainError, match="N = 2300"):
+            wrt_double_sum(ctx, 6)
+        code = cli.main(["wrt", "--N", "2300", "--p", "6"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
 class TestFiniteFieldImage:
     def test_miller_rabin(self):
         sieve = [n for n in range(2, 2000)
@@ -277,6 +278,122 @@ class TestFiniteFieldImage:
         assert not qi._certified_zero(
             lambda N, p, ell, r: 0 if ell == first else 1, 5, 1)
         assert qi._certified_zero(lambda N, p, ell, r: 0, 5, 1)
+
+
+def unreduced(value):
+    """The reduce argument of the sums for rings without a canonical form."""
+    return value
+
+
+class Cyclotomic:
+    """An integer polynomial in x modulo x^order - 1.
+
+    Z[x]/(x^order - 1) maps onto Z[zeta_order], so a sum computed here is
+    one exact element whose images under x -> r (mod l) and
+    x -> exp(2 pi i/order) are the certificate's and the replay's values.
+    """
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def monomial(cls, order, j):
+        coeffs = [0] * order
+        coeffs[j % order] = 1
+        return cls(coeffs)
+
+    def _lift(self, other):
+        if isinstance(other, Cyclotomic):
+            return other.coeffs
+        return (other,) + (0,) * (len(self.coeffs) - 1)
+
+    def __add__(self, other):
+        return Cyclotomic(a + b for a, b in zip(self.coeffs, self._lift(other)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Cyclotomic(-a for a in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -Cyclotomic(self._lift(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        order = len(self.coeffs)
+        out = [0] * order
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(self._lift(other)):
+                    if b:
+                        out[(i + j) % order] += a * b
+        return Cyclotomic(out)
+
+    __rmul__ = __mul__
+
+    def at(self, x):
+        return sum(c * x ** k for k, c in enumerate(self.coeffs) if c)
+
+
+class TestOneElementOfZZeta:
+    """The replay and the certificate run one loop on one element."""
+
+    CASES = [(3, 1), (3, 2), (5, 1), (5, 2), (5, -3), (7, 4), (7, -1)]
+
+    @staticmethod
+    def exact_tables(N):
+        x = [Cyclotomic.monomial(4 * N, j) for j in range(4 * N)]
+        t = [x[(3 * N + 2 * a) % (4 * N)] - x[(3 * N - 2 * a) % (4 * N)]
+             for a in range(2 * N)]
+        y = [1 - x[4 * k] for k in range(N)]
+        return t, x, y
+
+    @staticmethod
+    def exact_sums(N, p):
+        t, x, y = TestOneElementOfZZeta.exact_tables(N)
+        return (qi._direct_sum(N, p, t, x, unreduced),
+                qi._double_sum(N, p, y, x, unreduced))
+
+    def test_certificate_is_the_image(self):
+        for N, p in self.CASES:
+            direct, double = self.exact_sums(N, p)
+            for ell, r in qi._certificate_fields(N):
+                assert direct.at(r) % ell == qi._direct_sum_mod(N, p, ell, r)
+                assert double.at(r) % ell == qi._double_sum_mod(N, p, ell, r)
+        # (5, 2) is a certified zero of both routes
+        for ell, r in qi._certificate_fields(5):
+            assert qi._direct_sum_mod(5, 2, ell, r) == 0
+            assert qi._double_sum_mod(5, 2, ell, r) == 0
+
+    def test_replay_is_the_complex_value(self):
+        for N, p in self.CASES:
+            direct, double = self.exact_sums(N, p)
+            with qi._MP_LOCK, mp.workdps(50):
+                t, zeta, y = qi._mp_tables(N, 50)
+                root = mp.expjpi(mp.mpf(1) / (2 * N))
+                assert abs(direct.at(root)
+                           - qi._direct_sum(N, p, t, zeta, unreduced)) < 1e-45
+                assert abs(double.at(root)
+                           - qi._double_sum(N, p, y, zeta, unreduced)) < 1e-45
+                bare = complex(direct.at(root) / (t[1] * t[1]))
+            # one rounding to f64; the zeros are 50-digit noise
+            replay = qi._direct_sum_mp(N, p, 50)
+            assert abs(replay - bare) <= 1e-15 * abs(bare) + 1e-45, (N, p)
+
+    def test_pochhammer_magnitude_product(self):
+        # prod_{k=1}^{N-1} (1 - q^k) = N on the tables the loops read
+        for N in (5, 12, 33):
+            for ell, r in qi._certificate_fields(N):
+                _, _, y = qi._field_tables(N, ell, r)
+                prod = 1
+                for k in range(1, N):
+                    prod = prod * y[k] % ell
+                assert prod == N
+            with qi._MP_LOCK, mp.workdps(50):
+                _, _, y = qi._mp_tables(N, 50)
+                assert abs(mp.fprod(y[1:]) - N) < 1e-45 * N
 
 
 class TestFormulaDiscrepancy:
