@@ -155,8 +155,10 @@ def _newton(p, s, w):
 
 
 def _sparse_poly(terms):
-    coeffs = np.zeros(max(terms) + 1, dtype=np.int64)
-    for exponent, c in terms.items():
+    """Ascending coefficients of the sum of c s^e over (e, c) pairs; pairs
+    with one exponent add up, as the two terms of A do at p = 2."""
+    coeffs = np.zeros(max(e for e, _ in terms) + 1, dtype=np.int64)
+    for exponent, c in terms:
         coeffs[exponent] += c
     return coeffs
 
@@ -170,9 +172,9 @@ def _elimination_coefficients(p):
     C = 1 - s^2 + s^4; degree 2 max(p, 0) + 2 sigma + 6.
     """
     sigma = max(0, -p)
-    a = _sparse_poly({2 + sigma: 1, p + sigma: 1})
-    b = _sparse_poly({sigma: 1, p + 2 + sigma: 1})
-    c = _sparse_poly({0: 1, 2: -1, 4: 1})
+    a = _sparse_poly([(2 + sigma, 1), (p + sigma, 1)])
+    b = _sparse_poly([(sigma, 1), (p + 2 + sigma, 1)])
+    c = _sparse_poly([(0, 1), (2, -1), (4, 1)])
     aa = np.convolve(a, a)
     bb = np.convolve(b, b)
     cab = np.convolve(c, np.convolve(a, b))

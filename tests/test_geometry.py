@@ -21,7 +21,7 @@ from olim41.geometry_reference import (
     limit_infinity,
     load_references,
 )
-from olim41.saddle_solver import residual_fig8
+from olim41.saddle_solver import residual_fig8, track_geometric
 from olim41.specfun import clausen2, dilog
 
 PI = math.pi
@@ -173,3 +173,16 @@ class TestCompare:
         ref = builtin_references()[0]
         with pytest.raises(DomainError):
             compare(0j, ref, 0.0)
+
+
+class TestNeumannZagierRate:
+    def test_error_is_order_p_minus_four(self):
+        # V(p) = 2 i Cl2(pi/3) + pi^2/(p + 2 sqrt(3) i) + O(p^-4), with
+        # 2 sqrt(3) i the cusp shape of 4_1: the imaginary part is the
+        # Neumann-Zagier volume defect pi^2/Q(p, 1), the real part Yoshida's
+        # Chern-Simons defect. |e| p^4 rises from 140 at p = 5 to 224.94 at
+        # p = 640, its maximum on 5..640; the bound 230 sits just above it.
+        framings = range(5, 641)
+        for p, pt in zip(framings, track_geometric(framings)):
+            e = pt.value - limit_infinity() - PI ** 2 / (p + 2j * math.sqrt(3))
+            assert abs(e) * p ** 4 <= 230, p

@@ -181,9 +181,25 @@ class TestWrt:
         assert worst < 1e-12
 
     def test_escalated_region_still_agrees(self):
-        # N past ~52 has enough cancellation to force the mpmath replay
+        # N past ~52 has enough cancellation that the f64 pass misses the
+        # budget and the double-double round resolves the sum
         ctx = RootOfUnityContext(60)
         d = formula_discrepancy(wrt_direct(ctx, 6), wrt_double_sum(ctx, 6))
+        assert d < 1e-9
+
+    def test_mpmath_rounds_run_past_double_double(self, monkeypatch):
+        # At N = 200 about 28 digits cancel: with the 12-digit budget that
+        # is more than double-double's ~31, so each route needs an mpmath
+        # round, at a precision picked past the double-double floor.
+        calls = []
+        for name in ("_direct_sum_mp", "_double_sum_mp"):
+            replay = getattr(qi, name)
+            monkeypatch.setattr(
+                qi, name, lambda N, p, dps, replay=replay:
+                calls.append(dps) or replay(N, p, dps))
+        ctx = RootOfUnityContext(200)
+        d = formula_discrepancy(wrt_direct(ctx, 6), wrt_double_sum(ctx, 6))
+        assert len(calls) >= 2 and min(calls) > 31
         assert d < 1e-9
 
 
@@ -215,6 +231,8 @@ class TestCertifiedZeros:
     def test_round_cap_raises(self, monkeypatch, capsys):
         # A replay that only ever returns 0 never meets the budget; the
         # sum at (60, 6) is nonzero, so the certificate cannot end it.
+        monkeypatch.setattr(qi, "_direct_sum_dd", lambda N, p: 0j)
+        monkeypatch.setattr(qi, "_double_sum_dd", lambda N, p: 0j)
         monkeypatch.setattr(qi, "_direct_sum_mp", lambda N, p, dps: 0j)
         monkeypatch.setattr(qi, "_double_sum_mp", lambda N, p, dps: 0j)
         ctx = RootOfUnityContext(60)

@@ -10,7 +10,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from olim41 import saddle_solver
 from olim41.errors import DomainError
 from olim41.potential import branch_correct
 from olim41.saddle_solver import (
@@ -234,6 +237,38 @@ class TestZetaMinusOnePair:
     @pytest.mark.parametrize("p", [-40, 60])
     def test_lost_at_wide_framings(self, p):
         self._check_pair(p)
+
+
+class TestEliminationPolynomial:
+    # At p = 2 both terms of A = s^2 + s^p, and at p = -2 both terms of B,
+    # share one exponent; the cleared polynomial must count them twice.
+    CLEARED = [0, 0, -1, 0, 2, 0, 2, 0, 2, 0, -1]
+
+    @pytest.mark.parametrize("p", [2, -2])
+    def test_coinciding_exponents(self, p):
+        assert saddle_solver._elimination_coefficients(p).tolist() == self.CLEARED
+
+    @pytest.mark.parametrize("p, omega", [(2, (math.sqrt(5) - 1) / 2),
+                                          (-2, (math.sqrt(5) + 1) / 2)])
+    def test_real_points_from_elimination_alone(self, p, omega):
+        # the four real critical points, found without the grid search
+        polished = [saddle_solver._newton(p, s, w)
+                    for s, w in saddle_solver._elimination_starts(p)]
+        found = [(s * s, w) for s, w, _, ok in polished if ok]
+        for zeta in (0.346014339, 2.890053638):
+            assert any(abs(z - zeta) < 1e-9 and abs(w - omega) < 1e-9
+                       for z, w in found), (p, zeta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(p=st.integers(-40, 40))
+def test_solution_sets_closed_under_conjugation(p):
+    # the system has real coefficients, so conjugation maps solutions to
+    # solutions, and solve_fig8 must return both members of each pair
+    points = solve_fig8(p)
+    for pt in points:
+        assert len(_find(points, pt.zeta.conjugate(), pt.omega.conjugate(),
+                         1e-8)) == 1, (p, pt.zeta, pt.omega)
 
 
 class TestOptions:
