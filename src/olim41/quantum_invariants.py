@@ -160,42 +160,41 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
     """Resolve the cancellation in (value, abs_sum) to the relative budget.
 
     value starts as the f64 result, whose noise floor is abs_sum * 1e-15.
-    Round 1 is dd_replay(N, p), a double-double replay with floor
-    abs_sum * N * 2^-104; later rounds are replay(N, p, dps) at dps digits,
-    with floor abs_sum * 10^-dps. Each mpmath round picks its precision
+    The first replay round is dd_replay(N, p), in double-double with floor
+    abs_sum * N * 2^-104. If it misses the budget, _certified_zero(image,
+    N, p) is asked whether the sum is exactly zero, and if so 0j is
+    returned. Up to _MAX_ESCALATIONS rounds of replay(N, p, dps) under
+    mpmath follow, with floor abs_sum * 10^-dps. Each picks its precision
     from the digits lost against the larger of the current value and the
     current floor, so a round that lands on pure rounding noise raises the
-    precision by the guard amount and tries again. If the double-double
-    round misses the budget, _certified_zero(image, N, p) is asked whether
-    the sum is exactly zero, and if so 0j is returned. errors: DomainError
+    precision by the guard amount and tries again. errors: DomainError
     when the f64 pass is not finite (it overflows past N of about 2000);
-    PrecisionExhaustedError when _MAX_ESCALATIONS rounds still miss the
+    PrecisionExhaustedError when the last mpmath round still misses the
     budget.
     """
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
         raise DomainError(f"tau_{N}(M_{p}): the f64 sum overflowed at N = {N}")
-    noise = abs_sum * _NOISE_PER_UNIT
+    if abs_sum * _NOISE_PER_UNIT <= _RELATIVE_BUDGET * abs(value):
+        return value
+    value = dd_replay(N, p)
+    noise = abs_sum * N * _DD_NOISE_PER_UNIT
     dps = 0
     for rounds in range(_MAX_ESCALATIONS + 1):
         if noise <= _RELATIVE_BUDGET * abs(value):
             return value
-        if rounds == 1 and _certified_zero(image, N, p):
+        if rounds == 0 and _certified_zero(image, N, p):
             return 0j
         if rounds == _MAX_ESCALATIONS:
             break
-        if rounds == 0:
-            value = dd_replay(N, p)
-            noise = abs_sum * N * _DD_NOISE_PER_UNIT
-            continue
         floor = max(abs(value), noise, 1e-300)
         lost = math.log10(max(abs_sum / floor, 1.0))
         dps = max(_MIN_DPS, _GUARD_DPS + int(math.ceil(lost)), dps + 1)
         value = replay(N, p, dps)
         noise = abs_sum * 10.0 ** (-dps)
     raise PrecisionExhaustedError(
-        f"tau_{N}(M_{p}): {_MAX_ESCALATIONS} replay rounds up to {dps} digits "
-        f"missed the {_RELATIVE_BUDGET:g} relative budget, and the sum is not "
-        f"certified zero"
+        f"tau_{N}(M_{p}): a double-double round and {_MAX_ESCALATIONS} "
+        f"mpmath rounds up to {dps} digits missed the {_RELATIVE_BUDGET:g} "
+        f"relative budget, and the sum is not certified zero"
     )
 
 

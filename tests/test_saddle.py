@@ -251,7 +251,8 @@ class TestEliminationPolynomial:
     @pytest.mark.parametrize("p, omega", [(2, (math.sqrt(5) - 1) / 2),
                                           (-2, (math.sqrt(5) + 1) / 2)])
     def test_real_points_from_elimination_alone(self, p, omega):
-        # the four real critical points, found without the grid search
+        # both real critical points, each at s and -s, found without the
+        # grid search
         polished = [saddle_solver._newton(p, s, w)
                     for s, w in saddle_solver._elimination_starts(p)]
         found = [(s * s, w) for s, w, _, ok in polished if ok]
