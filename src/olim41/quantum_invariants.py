@@ -17,11 +17,11 @@ inverses), multiplied out over the whole triangle of terms at once with
 Dekker's TwoProd, and the hi and lo parts of all terms are summed exactly
 by math.fsum. Its noise floor is abs_sum * N * 2^-104, 33 times the
 largest error measured against a 60-digit replay over N = 3..96 at eleven
-framings in -40..40; it meets the budget up to N of about 120. Later
-rounds run the sum in the same fixed (n, m) order under mpmath, at a
-precision taken from the cancellation the previous round measured. A round
-whose result is itself rounding noise escalates again, so the precision
-climbs until the floor clears the budget.
+framings in -40..40; at p = 6 it meets the budget up to N of about 120.
+Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
+precision taken from the cancellation the previous round measured. A
+round whose result is itself rounding noise escalates again, so the
+precision climbs until the floor clears the budget.
 
 An exact zero of tau_N never clears it, so a double-double round that
 misses the budget triggers a zero certificate. Both bare sums lie in Z[zeta],

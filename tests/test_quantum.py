@@ -203,6 +203,19 @@ class TestWrt:
         assert d < 1e-9
 
 
+class TestDoubleDoubleRound:
+    def test_row_blocks_keep_the_precision(self, monkeypatch):
+        # Past _DD_BLOCK terms (N above about 510) the triangle is summed in
+        # row blocks; blocks of about 64 terms must match the single block.
+        kernels = {qi._direct_sum_dd: _kernels.direct_sum,
+                   qi._double_sum_dd: _kernels.double_sum}
+        whole = {dd: dd(40, 6) for dd in kernels}
+        monkeypatch.setattr(qi, "_DD_BLOCK", 64)
+        for dd, f64 in kernels.items():
+            floor = f64(40, 6)[1] * 40 * qi._DD_NOISE_PER_UNIT
+            assert abs(dd(40, 6) - whole[dd]) <= floor, dd.__name__
+
+
 class TestCertifiedZeros:
     # Exact zeros measured on N = 3..64, |p| <= 10: both routes at odd N
     # with p = 2 (mod 4), and the sporadic framings below.
