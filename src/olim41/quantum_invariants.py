@@ -12,16 +12,18 @@ polynomially bounded; about 0.14*N + 4 digits are lost), so when the
 implied rounding noise abs_sum * 1e-15 exceeds a 1e-12 relative budget the
 sum is replayed. The first replay round is double-double (about 31 digits;
 Dekker, Numer. Math. 18, 1971): each term is a fixed product of prefix
-tables built once per N (S_k = prod_{a<=k} t_a and (q)_k, with their
-inverses), multiplied out over the whole triangle of terms at once with
-Dekker's TwoProd, and the hi and lo parts of all terms are summed exactly
-by math.fsum. Its noise floor is abs_sum * N * 2^-104, 33 times the
-largest error measured against a 60-digit replay over N = 3..96 at eleven
-framings in -40..40; at p = 6 it meets the budget up to N of about 120.
+tables (S_k = prod_{a<=k} t_a and (q)_k, with their inverses), multiplied
+out over the whole triangle of terms at once with Dekker's TwoProd, and
+the hi and lo parts of all terms are summed exactly by math.fsum. The
+tables are built once per N (_dd_tables) from the 40-digit mpmath tables
+of the replay (_mp_tables) and split into double-doubles. Its noise floor
+is abs_sum * N * 2^-104, 33 times the largest error measured against a
+60-digit replay over N = 3..96 at eleven framings in -40..40; at p = 6 it
+meets the budget up to N of about 120.
 Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
 precision taken from the cancellation the previous round measured. A
-round whose result is itself rounding noise escalates again, so the
-precision climbs until the floor clears the budget.
+round whose result is itself rounding noise escalates again at twice its
+digits or more, so the precision climbs until the floor clears the budget.
 
 An exact zero of tau_N never clears it, so a double-double round that
 misses the budget triggers a zero certificate. Both bare sums lie in Z[zeta],
@@ -166,11 +168,12 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
     returned. Up to _MAX_ESCALATIONS rounds of replay(N, p, dps) under
     mpmath follow, with floor abs_sum * 10^-dps. Each picks its precision
     from the digits lost against the larger of the current value and the
-    current floor, so a round that lands on pure rounding noise raises the
-    precision by the guard amount and tries again. errors: DomainError
-    when the f64 pass is not finite (it overflows past N of about 2000);
-    PrecisionExhaustedError when the last mpmath round still misses the
-    budget.
+    current floor, plus _GUARD_DPS. After a round whose value lies within
+    its own floor, and so resolved no digit, it takes at least twice that
+    round's digits; the guard alone would add only 22 digits a round.
+    errors: DomainError when the f64 pass is not finite (it overflows past
+    N of about 2000); PrecisionExhaustedError when the last mpmath round
+    still misses the budget.
     """
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
         raise DomainError(f"tau_{N}(M_{p}): the f64 sum overflowed at N = {N}")
@@ -186,11 +189,13 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
             return 0j
         if rounds == _MAX_ESCALATIONS:
             break
-        floor = max(abs(value), noise, 1e-300)
-        lost = math.log10(max(abs_sum / floor, 1.0))
-        dps = max(_MIN_DPS, _GUARD_DPS + int(math.ceil(lost)), dps + 1)
+        floor = max(abs(value), noise)
+        lost = max(math.log10(abs_sum) - math.log10(floor), 0.0)
+        dps = max(_MIN_DPS, _GUARD_DPS + int(math.ceil(lost)), dps + 1,
+                  2 * dps if abs(value) <= noise else 0)
         value = replay(N, p, dps)
-        noise = abs_sum * 10.0 ** (-dps)
+        # abs_sum * 10^-dps; 10.0 ** -dps alone underflows past 323 digits
+        noise = max(10.0 ** (math.log10(abs_sum) - dps), 1e-300)
     raise PrecisionExhaustedError(
         f"tau_{N}(M_{p}): a double-double round and {_MAX_ESCALATIONS} "
         f"mpmath rounds up to {dps} digits missed the {_RELATIVE_BUDGET:g} "
@@ -327,7 +332,8 @@ def _mp_tables(N, dps):
 
     The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N);
     the certificate runs the same loops over their images in F_l, and the
-    double sum divides nothing. Call while holding _MP_LOCK.
+    double sum divides nothing. _dd_tables builds the double-double tables
+    from them at _DD_DPS digits. Call while holding _MP_LOCK.
     """
     with mp.workdps(dps):
         t = [2 * mp.sinpi(mp.mpf(a) / N) for a in range(2 * N)]
@@ -426,40 +432,26 @@ def _dd_triangle_sum(N, terms):
 
 
 @lru_cache(maxsize=8)
-def _dd_direct_tables(N):
-    """Double-double tables of the direct sum at order N.
+def _dd_tables(N):
+    """Double-double tables of both routes at order N, as (S, 1/S, c, A, B,
+    Y, zeta), built from _mp_tables(N, _DD_DPS).
 
-    S_k = prod_{a=1}^{k} t_a, 1/S_k and c_k = t_k / t_1^2 (0 <= k < N), and
-    zeta^j (0 <= j < 4N), computed under mpmath at _DD_DPS digits.
-    """
-    with _MP_LOCK, mp.workdps(_DD_DPS):
-        t = [2 * mp.sinpi(mp.mpf(a) / N) for a in range(N)]
-        prefix = [mp.mpf(1)]
-        for a in range(1, N):
-            prefix.append(prefix[-1] * t[a])
-        return (_dd_split(prefix), _dd_split([1 / v for v in prefix]),
-                _dd_split([v / (t[1] * t[1]) for v in t]),
-                _dd_split_complex([mp.expjpi(mp.mpf(j) / (2 * N))
-                                   for j in range(4 * N)]))
-
-
-@lru_cache(maxsize=8)
-def _dd_double_tables(N):
-    """Double-double tables of the double sum at order N.
-
-    With i = n + m and j = n - m - 1, zeta^{-4nm} = zeta^{-i^2}
-    zeta^{(j+1)^2}, so the tables fold it in: A_i = (q)_i zeta^{-i^2},
-    B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n} (0 <= i, j, n < N),
-    beside zeta^k (0 <= k < 4N); computed under mpmath at _DD_DPS digits.
+    The direct sum reads S_k = prod_{a=1}^{k} t_a, 1/S_k and c_k = t_k / t_1^2.
+    In the double sum, with i = n + m and j = n - m - 1, zeta^{-4nm} =
+    zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
+    zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n}.
+    Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
     """
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
-        zeta = [mp.expjpi(mp.mpf(k) / (2 * N)) for k in range(order)]
-        y = [1 - zeta[4 * k] for k in range(N)]
-        poch = [mp.mpc(1)]
+        t, zeta, y = _mp_tables(N, _DD_DPS)
+        prefix, poch = [mp.mpf(1)], [mp.mpc(1)]
         for k in range(1, N):
+            prefix.append(prefix[-1] * t[k])
             poch.append(poch[-1] * y[k])
-        return (_dd_split_complex([poch[i] * zeta[-i * i % order]
+        return (_dd_split(prefix), _dd_split([1 / v for v in prefix]),
+                _dd_split([v / (t[1] * t[1]) for v in t[:N]]),
+                _dd_split_complex([poch[i] * zeta[-i * i % order]
                                    for i in range(N)]),
                 _dd_split_complex([zeta[(j + 1) ** 2 % order] / poch[j]
                                    for j in range(N)]),
@@ -475,7 +467,7 @@ def _direct_sum_dd(N, p):
     (-1)^l S_{n+l} / S_{n-l-1} * t_n zeta^{p n^2} / t_1^2, a fixed product
     of table entries, so no product is carried from step to step.
     """
-    S, S_inv, c, zeta = _dd_direct_tables(N)
+    S, S_inv, c, *_, zeta = _dd_tables(N)
     phase = _dd_phases(zeta, N, p)
     coef = np.array([*_dd_mul(c, phase[:2]), *_dd_mul(c, phase[2:])])
 
@@ -492,9 +484,9 @@ def _double_sum_dd(N, p):
     """The bare double sum in double-double arithmetic.
 
     Term (n, m) of _double_sum is A_{n+m} B_{n-m-1} * Y_n zeta^{p n^2} in
-    the tables of _dd_double_tables.
+    the tables of _dd_tables.
     """
-    A, B, Y, zeta = _dd_double_tables(N)
+    *_, A, B, Y, zeta = _dd_tables(N)
     coef = np.array(_dd_cmul(Y, _dd_phases(zeta, N, p)))
     return _dd_triangle_sum(N, lambda n, m: _dd_cmul(
         _dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]))

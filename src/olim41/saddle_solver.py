@@ -262,7 +262,9 @@ def solve_fig8(p):
     Union of the elimination roots and the grid Newton search, polished to
     a residual below 1e-13, deduplicated at max-norm distance 1e-9, filtered
     of cleared-root artifacts, branch-corrected and classified. Points are
-    sorted by label rank, then lexicographically by coordinates.
+    sorted by label rank, then lexicographically by coordinates. The
+    elimination's np.roots on the degree-(2|p| + 6) polynomial has been
+    checked only for |p| <= 60.
     """
     p = checked_framing(p)
 

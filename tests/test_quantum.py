@@ -202,6 +202,22 @@ class TestWrt:
         assert len(calls) >= 2 and min(calls) > 31
         assert d < 1e-9
 
+    def test_noise_rounds_double_the_precision(self):
+        # wrt_direct at (1400, 6) sums magnitude 2.2e204 and needs about 212
+        # digits. A replay that finds only noise below that must not run out
+        # of rounds at 22 more digits each, as 51, 73, ..., 205 did.
+        abs_sum = 2.2e204
+        calls = []
+
+        def replay(N, p, dps):
+            calls.append(dps)
+            return 1.0 if dps >= 212 else abs_sum * 10.0 ** -dps / 2
+
+        value = qi._escalated(1e187 + 0j, abs_sum, 1400, 6, lambda N, p: 0j,
+                              replay, lambda N, p, ell, r: 1)
+        assert value == 1.0
+        assert len(calls) <= 5, calls
+
 
 class TestDoubleDoubleRound:
     def test_row_blocks_keep_the_precision(self, monkeypatch):

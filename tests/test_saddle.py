@@ -262,14 +262,15 @@ class TestEliminationPolynomial:
 
 
 @settings(derandomize=True, deadline=None, max_examples=10, database=None)
-@given(p=st.integers(-40, 40))
-def test_solution_sets_closed_under_conjugation(p):
+@given(p=st.integers(-60, 60))
+def test_solution_sets_closed_under_symmetry(p):
     # the system has real coefficients, so conjugation maps solutions to
-    # solutions, and solve_fig8 must return both members of each pair
+    # solutions, and so does (z, w) -> (1/z, w): every member of a returned
+    # point's orbit must be returned, once
     points = solve_fig8(p)
     for pt in points:
-        assert len(_find(points, pt.zeta.conjugate(), pt.omega.conjugate(),
-                         1e-8)) == 1, (p, pt.zeta, pt.omega)
+        for zeta, omega in symmetry_orbit(pt):
+            assert len(_find(points, zeta, omega, 1e-8)) == 1, (p, zeta, omega)
 
 
 class TestOptions:
