@@ -43,8 +43,7 @@ def direct_sum(N, p):
         factors = -4.0 * sin_tbl[(n + l) % (2 * N)] * sin_tbl[n - l]
         prods = np.empty(n)
         prods[0] = 1.0
-        if n > 1:
-            np.cumprod(factors, out=prods[1:])
+        np.cumprod(factors, out=prods[1:])
         bracket = (sin_tbl[n] / s1) ** 2
         term = bracket * prods.sum() * quarter[(p * n * n) % (4 * N)]
         abs_sum += bracket * np.abs(prods).sum()
@@ -59,7 +58,7 @@ def double_sum(N, p):
     Summand: (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1}) * q^{n(p n/4 - m) - n}
     with (q)_k = 0 for k >= N, so pairs with n + m >= N are skipped. The
     exponent is exact: index j = (p n^2 - 4 n m - 4 n) mod 4N into the
-    table exp(pi i j / (2N)).
+    table exp(pi i j / (2N)), with p reduced mod 4N first so it fits int64.
     """
     q = np.exp(2j * np.pi * np.arange(N) / N)
     poch = np.empty(N, dtype=complex)
@@ -72,7 +71,7 @@ def double_sum(N, p):
     for n in range(1, N):
         m = np.arange(min(n, N - n))
         ratio = poch[n] * poch[n + m] / (poch[n - 1] * poch[n - m - 1])
-        idx = (p * n * n - 4 * n * m - 4 * n) % (4 * N)
+        idx = (p % (4 * N) * n * n - 4 * n * m - 4 * n) % (4 * N)
         terms = ratio * quarter[idx]
         abs_sum += np.abs(terms).sum()
         total, comp = _neumaier_add(total, comp, terms.sum())

@@ -71,7 +71,6 @@ __all__ = [
 
 _NOISE_PER_UNIT = 1e-15    # f64 accumulation noise per unit of summed magnitude
 _RELATIVE_BUDGET = 1e-12   # relative accuracy target for the returned invariant
-_MIN_DPS = 25
 _GUARD_DPS = 22
 _MAX_ESCALATIONS = 8
 _CERTIFICATE_PRIME_FLOOR = 2 ** 61
@@ -149,12 +148,13 @@ def colored_jones_fig8(ctx, n):
 
 
 def _prefactor(ctx, p):
-    # sqrt(2/N) sin(pi/N) e^{-3 pi i/4} q^{(3-p)/4}
+    # sqrt(2/N) sin(pi/N) e^{-3 pi i/4} q^{(3-p)/4}; 3 - p is reduced by its
+    # period 4N keeping its sign, so the float exponent is exact at any p
     return (
         math.sqrt(2.0 / ctx.N)
         * math.sin(math.pi / ctx.N)
         * cmath.exp(-0.75j * math.pi)
-        * ctx.q_power((3 - p) / 4)
+        * ctx.q_power(math.copysign(abs(3 - p) % (4 * ctx.N), 3 - p) / 4)
     )
 
 
@@ -191,7 +191,7 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
             break
         floor = max(abs(value), noise)
         lost = max(math.log10(abs_sum) - math.log10(floor), 0.0)
-        dps = max(_MIN_DPS, _GUARD_DPS + int(math.ceil(lost)), dps + 1,
+        dps = max(_GUARD_DPS + int(math.ceil(lost)), dps + 1,
                   2 * dps if abs(value) <= noise else 0)
         value = replay(N, p, dps)
         # abs_sum * 10^-dps; 10.0 ** -dps alone underflows past 323 digits

@@ -20,12 +20,12 @@ off, where |1 + s^{p+2}| is 2e-8 or more. That is above the 1e-8 test
 that reseeds w from the quadratic, so the elimination path substitutes a
 meaningless w, and only the grid finds z = -1.
 
-Candidates are polished, snapped onto the real/imaginary axes when within
-rounding distance, deduplicated in (z, w), filtered of the spurious roots
-introduced by clearing (s = 0, w = 0) and of z = 1 where the potential's
-gradient is singular, branch-corrected, classified, and returned in a
-deterministic order. Non-convergent or inconsistent candidates are dropped
-with a logged diagnostic, never returned as silently wrong values.
+Candidates are polished by _polished, which track_geometric shares: snapped
+onto the real/imaginary axes within rounding distance and filtered of the
+spurious roots of clearing (s = 0, w = 0) and of z = 1, where the gradient
+is singular. They are then deduplicated in (z, w), branch-corrected,
+classified, and returned in a deterministic order. Dropped candidates are
+logged with the reason, never returned as silently wrong values.
 """
 
 import cmath
@@ -193,12 +193,9 @@ def _quadratic_w_roots(z):
 
 
 def _elimination_starts(p):
-    coeffs = _elimination_coefficients(p)[::-1].astype(float)
-    coeffs = np.trim_zeros(coeffs, "f")   # degree-side zeros never occur
-    tail = np.trim_zeros(coeffs, "b")     # s = 0 roots from clearing
-    if len(tail) == 0:
-        return
-    for s in np.roots(tail):
+    # np.roots strips zero coefficients and returns the s = 0 roots of
+    # clearing as exact zeros, which the radius test drops
+    for s in np.roots(_elimination_coefficients(p)[::-1]):
         s = complex(s)
         if abs(s) < _SPURIOUS_RADIUS:
             continue
@@ -256,20 +253,12 @@ def residual_fig8(p, zeta, omega):
     return _sheet_residual(p, complex(zeta), complex(omega))[0]
 
 
-def solve_fig8(p):
-    """All critical points of the surgery potential at framing p.
-
-    Union of the elimination roots and the grid Newton search, polished to
-    a residual below 1e-13, deduplicated at max-norm distance 1e-9, filtered
-    of cleared-root artifacts, branch-corrected and classified. Points are
-    sorted by label rank, then lexicographically by coordinates. The
-    elimination's np.roots on the degree-(2|p| + 6) polynomial has been
-    checked only for |p| <= 60.
+def _polished(p, starts):
+    """(s, z, w, residual, sheet) for each start whose Newton root converges,
+    is no cleared root, meets _RESIDUAL_BOUND snapped to the axes (or else
+    raw) and has z != 1; each dropped root is logged. s is the raw root.
     """
-    p = checked_framing(p)
-
-    polished = []
-    for s0, w0 in chain(_elimination_starts(p), _grid_starts()):
+    for s0, w0 in starts:
         s, w, res, ok = _newton(p, s0, w0)
         if not ok:
             _log.debug("start (%.3g%+.3gj, %.3g%+.3gj) stalled at residual %.3g",
@@ -291,8 +280,25 @@ def solve_fig8(p):
         if abs(z - 1) <= _SPURIOUS_RADIUS:
             _log.info("discarding z = 1 solution (singular gradient) at p=%d", p)
             continue
-        polished.append((z, w, residual, sheet))
+        yield s, z, w, residual, sheet
 
+
+def solve_fig8(p):
+    """All critical points of the surgery potential at framing p.
+
+    Union of the elimination roots and the grid Newton search, polished to
+    a residual below 1e-13, deduplicated at max-norm distance 1e-9, filtered
+    of cleared-root artifacts, branch-corrected and classified. Points are
+    sorted by label rank, then lexicographically by coordinates. The
+    elimination's np.roots on the degree-(2|p| + 6) polynomial has been
+    checked only for |p| <= 60. Past that the z = -1 pair (-1, (-3 +-
+    sqrt 5)/2) is lost: one point is missing at p = -100, -80, -64 and 64,
+    both at p = 80 and 100.
+    """
+    p = checked_framing(p)
+
+    polished = [(z, w, residual, sheet) for _, z, w, residual, sheet
+                in _polished(p, chain(_elimination_starts(p), _grid_starts()))]
     polished.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     kept = []
     for z, w, residual, sheet in polished:
@@ -391,8 +397,9 @@ def track_geometric(p_values):
 
     Each p is tried from the large-p start (s, w) = (e^{-i pi/p},
     e^{-i pi/3}) and from the previous framing's solution, which is far
-    cheaper than full enumeration; a framing where neither start converges
-    to a point with Im V > 0 falls back to solve_fig8, and DomainError is
+    cheaper than full enumeration. Their roots pass the filters of
+    solve_fig8's points (_polished); a framing where neither start gives a
+    point with Im V > 0 falls back to solve_fig8, and DomainError is
     raised when even that has no geometric candidate.
     """
     results = []
@@ -405,15 +412,7 @@ def track_geometric(p_values):
         if previous is not None:
             starts.append(previous)
         point = None
-        for s0, w0 in starts:
-            s, w, res, ok = _newton(p, s0, w0)
-            if not ok:
-                continue
-            z = _snap_axis(s * s)
-            w = _snap_axis(w)
-            residual, sheet = _sheet_residual(p, z, w)
-            if residual >= _RESIDUAL_BOUND or abs(z - 1) <= _SPURIOUS_RADIUS:
-                continue
+        for s, z, w, residual, sheet in _polished(p, starts):
             try:
                 correction = branch_correct(p, (z, w))
             except (BranchInconsistencyError, SingularPointError):

@@ -16,8 +16,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # bench/run.py adds these itself, outside the layer report
 ADDED_BY_RUN = {"quantum_invariants.route_discrepancy_max",
                 "bench.untraced_pass_s", "bench.traced_pass_s"}
+# sweep runs the continuation path, track_geometric -> _polished -> _newton
 OPERATIONS = [["wrt", "--N", "34", "--p", "3", "--form", "both"],
-              ["saddle", "--p", "6"]]
+              ["saddle", "--p", "6"],
+              ["sweep", "--start", "6", "--step", "4", "--count", "3"]]
 
 TRACED_PASS = """
 import contextlib, io, json, sys

@@ -64,6 +64,17 @@ class TestWrtCommand:
         expected = wrt_direct(RootOfUnityContext(9), 4)
         assert abs(value - expected) < 1e-10
 
+    def test_huge_framing(self, capsys):
+        # p = 6 + 120 * 2^60: p N^2 is past int64 and 3 - p past 2^53
+        code, out, err = _run(["wrt", "--N", "30", "--p",
+                               str(6 + 120 * 2 ** 60), "--form", "both"],
+                              capsys)
+        assert code == 0 and err == ""
+        _, rows = _rows(out)
+        expected = wrt_direct(RootOfUnityContext(30), 6)
+        value = complex(float(rows[0]["re_double"]), float(rows[0]["im_double"]))
+        assert abs(value - expected) < 1e-9 * abs(expected)
+
     def test_direct_form_rejects_zero_framing(self, capsys):
         code, out, err = _run(["wrt", "--N", "5", "--p", "0"], capsys)
         assert code == 1

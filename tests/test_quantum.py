@@ -180,6 +180,21 @@ class TestWrt:
                 worst = max(worst, abs(plus / minus.conjugate() - phase))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("route", [wrt_direct, wrt_double_sum])
+    @pytest.mark.parametrize("N", [5, 30, 64])
+    def test_period_4N_in_the_framing(self, route, N):
+        # Both formulas depend on p only through q^{p/4}, so tau_N has
+        # period 4N in p, also past 2^53 (float exponents) and 2^63 (int64).
+        ctx = RootOfUnityContext(N)
+        for p0 in (6, 1):
+            expected = route(ctx, p0)
+            for k in (1, 2 ** 60, 10 ** 30):
+                value = route(ctx, p0 + 4 * N * k)
+                if p0 > 3:   # 3 - p keeps its sign: the same float exponent
+                    assert value == expected, (p0, k)
+                else:
+                    assert formula_discrepancy(value, expected) < 1e-12, (p0, k)
+
     def test_escalated_region_still_agrees(self):
         # N past ~52 has enough cancellation that the f64 pass misses the
         # budget and the double-double round resolves the sum

@@ -232,9 +232,10 @@ class TestZetaMinusOnePair:
         self._check_pair(p)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "solve_fig8 drops one z = -1 point at p in {-56, ..., -36, 60}; "
-        "see ROADMAP open item 6 (saddle enumeration without the grid)"))
-    @pytest.mark.parametrize("p", [-40, 60])
+        "solve_fig8 drops one z = -1 point at p in {-100, -80, -64, "
+        "-56, ..., -36, 60, 64} and both at p in {80, 100}; see ROADMAP "
+        "open item 1 (saddle enumeration without the grid)"))
+    @pytest.mark.parametrize("p", [-100, -80, -64, -40, 60, 64, 80, 100])
     def test_lost_at_wide_framings(self, p):
         self._check_pair(p)
 
