@@ -18,6 +18,7 @@ Subcommands:
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -165,7 +166,10 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use; parse_args keeps no state
+    between calls, so every main call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="olim41",
         description="WRT invariants of figure-eight surgeries and the "

@@ -20,6 +20,15 @@ off, where |1 + s^{p+2}| is 2e-8 or more. That is above the 1e-8 test
 that reseeds w from the quadratic, so the elimination path substitutes a
 meaningless w, and only the grid finds z = -1.
 
+solve_fig8 runs Newton from all of its starts (about 1,150) at once:
+_newton_many iterates float64 arrays and gives every start the bits that
+the scalar _newton gives it. It cannot use numpy's complex128, whose
+products, quotients and powers round differently from CPython's; it uses
+the port of CPython's complex arithmetic in _pycomplex instead. The
+scalar _newton stays as the reference the tests hold _newton_many to,
+and track_geometric runs it lazily over its one or two starts, where
+arrays would cost more than they save.
+
 Candidates are polished by _polished, which track_geometric shares: snapped
 onto the real/imaginary axes within rounding distance and filtered of the
 spurious roots of clearing (s = 0, w = 0) and of z = 1, where the gradient
@@ -36,6 +45,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._pycomplex import add, mul, neg, powers, quot, sub
 from .errors import (
     BranchInconsistencyError,
     DomainError,
@@ -61,6 +71,8 @@ _SPURIOUS_RADIUS = 1e-8     # |s|, |w|, or |z - 1| below this is a cleared root
 _SNAP_EPS = 1e-12           # relative distance for snapping onto an axis
 _NEWTON_TOLERANCE = 1e-13   # residual at which Newton stops
 _MAX_ITERATIONS = 60        # Newton steps per start
+_MAX_HALVINGS = 20          # step sizes 2^-k, k < 20, per Newton step
+_LINE_SEARCH_BLOCK = 1024   # line-search candidates evaluated at once
 _DEDUP_DISTANCE = 1e-9      # max-norm distance at which points merge
 _GRID_DENSITY = 24          # grid starts per axis of the s-square
 _MEMBERSHIP_DISTANCE = 1e-8  # orbit membership of the geometric candidate
@@ -104,14 +116,20 @@ def _system(p, s, w):
 def _residual_sw(p, s, w):
     try:
         f1, f2 = _system(p, s, w)
+        r = max(abs(f1), abs(f2))
     except (OverflowError, ZeroDivisionError, ValueError):
         return math.inf
-    r = max(abs(f1), abs(f2))
     return r if math.isfinite(r) else math.inf
 
 
 def _newton(p, s, w):
-    """Damped Newton on the (s, w) system; returns (s, w, residual, ok)."""
+    """Damped Newton on the (s, w) system; returns (s, w, residual, ok).
+
+    At most _MAX_ITERATIONS steps, each the first of the step sizes 2^-k,
+    k < _MAX_HALVINGS, that lowers the residual. It stops with ok false
+    where a power raises or the Jacobian determinant is 0 or has no finite
+    modulus. _newton_many must match it bit for bit.
+    """
     res = _residual_sw(p, s, w)
     if not math.isfinite(res):
         return s, w, math.inf, False
@@ -128,10 +146,10 @@ def _newton(p, s, w):
             j12 = -sp * z - 1
             j21 = -2 * s * w * (w - z) - 2 * s * u - 2 * s * w
             j22 = -z * (w - z) + u - z
+            det = j11 * j22 - j12 * j21
+            if det == 0 or not math.isfinite(abs(det)):
+                return s, w, res, False
         except (OverflowError, ZeroDivisionError, ValueError):
-            return s, w, res, False
-        det = j11 * j22 - j12 * j21
-        if det == 0 or not (math.isfinite(abs(det))):
             return s, w, res, False
         ds = (f1 * j22 - f2 * j12) / det
         dw = (j11 * f2 - j21 * f1) / det
@@ -139,7 +157,7 @@ def _newton(p, s, w):
         # the logarithmic singularities near w = z demand damping
         step = 1.0
         improved = False
-        for _ in range(20):
+        for _ in range(_MAX_HALVINGS):
             s_next = s - step * ds
             w_next = w - step * dw
             if s_next != 0:
@@ -152,6 +170,140 @@ def _newton(p, s, w):
             return s, w, res, res < _NEWTON_TOLERANCE
         s, w, res = s_next, w_next, r_next
     return s, w, res, res < _NEWTON_TOLERANCE
+
+
+def _system_many(sp, s, w):
+    """_system's defects f1, f2 over arrays, given sp = s ** p, and the
+    z = s s, u = 1 - z w and w - z they are made of."""
+    z = mul(s, s)
+    zw = mul(z, w)
+    u = sub((1.0, 0.0), zw)
+    d = sub(w, z)
+    f1 = add(sub(mul(sp, u), w), z)
+    f2 = sub(mul(u, d), zw)
+    return f1, f2, z, u, d
+
+
+def _residual_many(p, s, w):
+    """_residual_sw over arrays."""
+    (sp, raised), = powers(s, p)
+    f1, f2, *_ = _system_many(sp, s, w)
+    # abs is hypot, which is inf where CPython's abs raises OverflowError
+    r1, r2 = np.hypot(*f1), np.hypot(*f2)
+    r = np.where(r2 > r1, r2, r1)  # max(r1, r2) keeps r1 unless r2 > r1
+    return np.where(raised | ~np.isfinite(r), np.inf, r)
+
+
+def _newton_step(p, s, w):
+    """_newton's step (ds, dw) over arrays, and where _newton gives up
+    instead: a power raises, or the Jacobian determinant is 0 or has no
+    finite modulus."""
+    (sp, raised), (q, raised1) = powers(s, p, p - 1)     # s^p, s^(p-1)
+    f1, f2, z, u, d = _system_many(sp, s, w)
+    s2 = mul((2.0, 0.0), s)
+    s2w = mul(s2, w)
+    j11 = add(sub(mul(mul((float(p), 0.0), q), u), mul(s2w, sp)), s2)
+    j12 = sub(mul(neg(sp), z), (1.0, 0.0))
+    j21 = sub(sub(mul(mul(mul((-2.0, 0.0), s), w), d), mul(s2, u)), s2w)
+    j22 = sub(add(mul(neg(z), d), u), z)
+    del sp, q, z, u, d, s2, s2w     # a solve's peak memory is here
+    det = sub(mul(j11, j22), mul(j12, j21))
+    failed = (raised | raised1 | ((det[0] == 0) & (det[1] == 0))
+              | ~np.isfinite(np.hypot(*det)))
+    ds, _ = quot(sub(mul(f1, j22), mul(f2, j12)), det)
+    dw, _ = quot(sub(mul(j11, f2), mul(j21, f1)), det)
+    return ds, dw, failed
+
+
+def _padded(index):
+    """index padded with its last entry: to the next multiple of 64 below
+    1024 entries, to the next power of two up to 64.
+
+    numpy keeps up to 7 freed buffers of each size below 1 KiB for reuse,
+    so arrays over every lane count from 1 to 1023 leave hundreds of sizes
+    cached. Unpadded, a saddle-scan pass peaked 1.8 MB above the scalar
+    search; padded, 0.4 MB. A padded lane repeats the work of a real one
+    and writes back the same values.
+    """
+    n = len(index)
+    if n >= 1024:
+        return index
+    size = -(-n // 64) * 64 if n > 64 else 1 << (n - 1).bit_length()
+    return index[np.minimum(np.arange(size), n - 1)]
+
+
+def _trial(p, state, delta, step):
+    """The state s - step ds, w - step dw reaches, step promoted to
+    (step, 0.0) as in CPython, and where _newton's line search accepts it:
+    s is nonzero and the residual is lower.
+
+    state holds the rows s.re, s.im, w.re, w.im, residual and delta the
+    rows ds.re, ds.im, dw.re, dw.im; the state reached has state's rows.
+    """
+    s = sub(state[:2], mul((step, 0.0), delta[:2]))
+    w = sub(state[2:4], mul((step, 0.0), delta[2:]))
+    r = _residual_many(p, s, w)
+    return np.array([*s, *w, r]), ((s[0] != 0) | (s[1] != 0)) & (r < state[4])
+
+
+def _line_search(p, state, delta, go):
+    """_newton's line search over arrays: for each lane where go, the first
+    step 2^-k, k < _MAX_HALVINGS, that _trial accepts.
+
+    Returns where a step was found and the state it reaches. The full
+    step goes first for every lane, and the halvings follow for the lanes
+    it fails, in blocks of _LINE_SEARCH_BLOCK candidates.
+    """
+    reached, found = _trial(p, state, delta, 1.0)
+    found &= go
+    todo = np.flatnonzero(go & ~found)
+    k = 1
+    while k < _MAX_HALVINGS and len(todo):
+        rows = _padded(todo)
+        # one lane per row, the steps 2^-k, 2^-(k+1), ... across; steps
+        # past _MAX_HALVINGS only fill the block
+        ks = np.arange(k, k + max(1, _LINE_SEARCH_BLOCK // len(rows)))
+        block, accept = _trial(p, state[:, rows, None], delta[:, rows, None],
+                               np.ldexp(1.0, -ks))
+        accept &= ks < _MAX_HALVINGS
+        hit = accept.any(axis=1)
+        first = block[:, np.arange(len(rows)), accept.argmax(axis=1)]
+        reached[:, rows] = np.where(hit, first, reached[:, rows])
+        found[rows] |= hit
+        todo = todo[np.logical_not(hit)[:len(todo)]]
+        k += len(ks)
+    return found, reached
+
+
+def _newton_many(p, s, w):
+    """_newton from each start (s[i], w[i]), bit for bit: an iterator of
+    (s, w, residual, ok) in the order of the starts.
+
+    The starts iterate together as float64 arrays of real and imaginary
+    parts, in CPython's complex arithmetic as _pycomplex rebuilds it. A
+    start leaves the arrays at the exit _newton takes for it; at every
+    exit ok is whether the residual is below _NEWTON_TOLERANCE.
+    """
+    s = np.asarray(s, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    # rows s.re, s.im, w.re, w.im, residual, one column per start
+    final = np.array([s.real, s.imag, w.real, w.imag, np.zeros(len(s))])
+    with np.errstate(all="ignore"):
+        final[4] = _residual_many(p, final[:2], final[2:4])
+        lanes = np.flatnonzero(final[4] < np.inf)
+        for _ in range(_MAX_ITERATIONS):
+            if not len(lanes):
+                break
+            idx = _padded(lanes)
+            state = final[:, idx]
+            ds, dw, failed = _newton_step(p, state[:2], state[2:4])
+            go = (state[4] >= _NEWTON_TOLERANCE) & ~failed
+            found, reached = _line_search(p, state, np.array([*ds, *dw]), go)
+            final[:, idx] = np.where(found, reached, state)
+            lanes = lanes[found[:len(lanes)]]
+    sr, si, wr, wi, res = final
+    return zip(map(complex, sr, si), map(complex, wr, wi), map(float, res),
+               map(bool, res < _NEWTON_TOLERANCE))
 
 
 def _sparse_poly(terms):
@@ -253,16 +405,16 @@ def residual_fig8(p, zeta, omega):
     return _sheet_residual(p, complex(zeta), complex(omega))[0]
 
 
-def _polished(p, starts):
-    """(s, z, w, residual, sheet) for each start whose Newton root converges,
-    is no cleared root, meets _RESIDUAL_BOUND snapped to the axes (or else
-    raw) and has z != 1; each dropped root is logged. s is the raw root.
+def _polished(p, roots):
+    """(s, z, w, residual, sheet) for each Newton result (s, w, residual, ok)
+    that converged, is no cleared root, meets _RESIDUAL_BOUND snapped to
+    the axes (or else raw) and has z != 1; each dropped root is logged.
+    s is the raw root.
     """
-    for s0, w0 in starts:
-        s, w, res, ok = _newton(p, s0, w0)
+    for s, w, res, ok in roots:
         if not ok:
-            _log.debug("start (%.3g%+.3gj, %.3g%+.3gj) stalled at residual %.3g",
-                       s0.real, s0.imag, w0.real, w0.imag, res)
+            _log.debug("Newton stalled at (%.3g%+.3gj, %.3g%+.3gj), residual %.3g",
+                       s.real, s.imag, w.real, w.imag, res)
             continue
         if abs(s) < _SPURIOUS_RADIUS or abs(w) < _SPURIOUS_RADIUS:
             _log.debug("discarding cleared root s=%s w=%s", s, w)
@@ -286,9 +438,10 @@ def _polished(p, starts):
 def solve_fig8(p):
     """All critical points of the surgery potential at framing p.
 
-    Union of the elimination roots and the grid Newton search, polished to
-    a residual below 1e-13, deduplicated at max-norm distance 1e-9, filtered
-    of cleared-root artifacts, branch-corrected and classified. Points are
+    Union of the elimination roots and the grid Newton search, run from
+    all starts at once by _newton_many, polished to a residual below
+    1e-13, deduplicated at max-norm distance 1e-9, filtered of
+    cleared-root artifacts, branch-corrected and classified. Points are
     sorted by label rank, then lexicographically by coordinates. The
     elimination's np.roots on the degree-(2|p| + 6) polynomial has been
     checked only for |p| <= 60. Past that the z = -1 pair (-1, (-3 +-
@@ -297,8 +450,12 @@ def solve_fig8(p):
     """
     p = checked_framing(p)
 
+    # s0, w0, s1, w1, ... of every start
+    starts = np.fromiter(chain.from_iterable(
+        chain(_elimination_starts(p), _grid_starts())), dtype=complex)
+    roots = _newton_many(p, starts[0::2], starts[1::2])
     polished = [(z, w, residual, sheet) for _, z, w, residual, sheet
-                in _polished(p, chain(_elimination_starts(p), _grid_starts()))]
+                in _polished(p, roots)]
     polished.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     kept = []
     for z, w, residual, sheet in polished:
@@ -412,7 +569,8 @@ def track_geometric(p_values):
         if previous is not None:
             starts.append(previous)
         point = None
-        for s, z, w, residual, sheet in _polished(p, starts):
+        roots = (_newton(p, s, w) for s, w in starts)
+        for s, z, w, residual, sheet in _polished(p, roots):
             try:
                 correction = branch_correct(p, (z, w))
             except (BranchInconsistencyError, SingularPointError):

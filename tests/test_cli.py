@@ -241,3 +241,32 @@ class TestEmitCsv:
     def test_formatting(self):
         text = emit_csv([[1, 0.5, True, "x"]], ["i", "f", "b", "s"])
         assert text == "i,f,b,s\n1,0.5,true,x\n"
+
+
+class TestRepeatedCalls:
+    """main builds its parser once per process; one call must not leave
+    state behind for the next."""
+
+    def test_parser_is_built_once(self):
+        from olim41.cli import _build_parser
+        assert _build_parser() is _build_parser()
+
+    def test_output_flag_does_not_stick(self, tmp_path, capsys):
+        target = tmp_path / "special.csv"
+        argv = ["special", "--fn", "b2", "--arg", "0.25"]
+        code, out, _ = _run(argv + ["--output", str(target)], capsys)
+        assert code == 0 and out == ""
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert out == target.read_text(encoding="utf-8")
+
+    def test_good_call_after_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["special", "--fn", "li2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = _run(["special", "--fn", "b2", "--arg", "0.25"],
+                              capsys)
+        assert code == 0 and err == ""
+        _, rows = _rows(out)
+        assert rows[0]["fn"] == "b2"

@@ -8,6 +8,7 @@ Orbit closure and re-residualization make the checks self-validating.
 
 import math
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,10 @@ class TestResidual:
         with pytest.raises(DomainError):
             residual_fig8(1.5, 1j, 1j)
 
+    def test_overflowing_modulus_is_infinite(self):
+        # f1 is about -w, whose modulus overflows a float
+        assert residual_fig8(0, 1e-300, 1.5e308 + 1.5e308j) == math.inf
+
 
 class TestSymmetryOrbit:
     def test_sizes(self):
@@ -260,6 +265,55 @@ class TestEliminationPolynomial:
         for zeta in (0.346014339, 2.890053638):
             assert any(abs(z - zeta) < 1e-9 and abs(w - omega) < 1e-9
                        for z, w in found), (p, zeta)
+
+
+def _root_bits(root):
+    s, w, residual, ok = root
+    return (s.real.hex(), s.imag.hex(), w.real.hex(), w.imag.hex(),
+            float(residual).hex(), ok)
+
+
+class TestNewtonMany:
+    """The batched Newton search gives, start by start, the bits of the
+    scalar _newton: float.hex tells signed zeros, NaN and inf apart."""
+
+    # |s| near 1e200, where s^p overflows; tiny s, where s^p overflows
+    # for p < 0; NaN and inf parts; w large enough that |det| overflows
+    # at p = 2; and starts with det == 0 exactly at p = 2 and p = -3
+    ADVERSARIAL = list(product(
+        [1e200 + 1e200j, 1e200j, 1e-200, 1e-100 + 1e-100j, 5e-324j,
+         complex(-0.0, 1.0), complex(math.nan, 1.0), complex(1.0, math.inf),
+         0j, 0.5 + 0.5j, 1 + 0j, -1 + 0j],
+        [0j, 0.5 + 0j, 2 + 0j, 0.2 + 0.1j, 1e154 + 0j, 1.5e308 + 1.5e308j,
+         complex(0.3, math.nan), -1e300j]))
+
+    def _check(self, p, starts):
+        s, w = zip(*starts)
+        got = [_root_bits(r) for r in saddle_solver._newton_many(p, s, w)]
+        expected = [_root_bits(saddle_solver._newton(p, *st)) for st in starts]
+        assert len(got) == len(starts)
+        assert [(st, e, g) for st, e, g in zip(starts, expected, got)
+                if e != g] == []
+
+    @pytest.mark.parametrize("p", [-100, -40, -36, -4, 2, 4, 101])
+    def test_solver_starts(self, p):
+        # 101 and 100 (for s^(p-1)) and -100 (for s^(p-1) = s^-101) take
+        # CPython's libm path for the powers
+        self._check(p, list(chain(saddle_solver._elimination_starts(p),
+                                  saddle_solver._grid_starts())))
+
+    @pytest.mark.parametrize("p", [-101, -5, -3, -1, 0, 1, 2, 6, 101])
+    def test_adversarial_starts(self, p):
+        self._check(p, self.ADVERSARIAL)
+
+    def test_no_starts(self):
+        assert list(saddle_solver._newton_many(6, [], [])) == []
+
+    def test_overflowing_determinant_is_a_stall(self):
+        # |det| overflows in the first step: _newton stops there
+        s, w, residual, ok = saddle_solver._newton(2, 0.5 + 0.5j, 1e154 + 0j)
+        assert (s, w, ok) == (0.5 + 0.5j, 1e154, False)
+        assert math.isfinite(residual)
 
 
 @settings(derandomize=True, deadline=None, max_examples=10, database=None)
