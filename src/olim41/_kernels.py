@@ -40,7 +40,7 @@ def direct_sum(N, p):
     abs_sum = 0.0
     for n in range(1, N):
         l = np.arange(1, n)
-        factors = -4.0 * sin_tbl[(n + l) % (2 * N)] * sin_tbl[n - l]
+        factors = -4.0 * sin_tbl[n + l] * sin_tbl[n - l]
         prods = np.empty(n)
         prods[0] = 1.0
         np.cumprod(factors, out=prods[1:])
@@ -60,11 +60,11 @@ def double_sum(N, p):
     exponent is exact: index j = (p n^2 - 4 n m - 4 n) mod 4N into the
     table exp(pi i j / (2N)), with p reduced mod 4N first so it fits int64.
     """
-    q = np.exp(2j * np.pi * np.arange(N) / N)
+    quarter = np.exp(1j * np.pi * np.arange(4 * N) / (2 * N))
+    q = quarter[::4]    # q^k is entry 4k
     poch = np.empty(N, dtype=complex)
     poch[0] = 1.0
     np.cumprod(1.0 - q[1:], out=poch[1:])
-    quarter = np.exp(1j * np.pi * np.arange(4 * N) / (2 * N))
     total = 0j
     comp = 0j
     abs_sum = 0.0

@@ -35,7 +35,7 @@ from .errors import (
     SingularPointError,
     checked_framing,
 )
-from .specfun import dilog, principal_log
+from .specfun import PI2_6, dilog, principal_log
 
 __all__ = [
     "BranchCorrection",
@@ -44,7 +44,6 @@ __all__ = [
     "branch_correct",
 ]
 
-_PI_SQ_OVER_6 = math.pi * math.pi / 6.0
 _TWO_PI_I = 2j * math.pi
 _BRANCH_TOLERANCE = 1e-4    # largest accepted distance of -D/(2 pi i) to the grid
 
@@ -80,8 +79,7 @@ def eval_potential(p, point):
     p = checked_framing(p)
     z, w = _checked_point(point)
     # z * w ** -1 (not z / w) and the pi^2/6 shifts keep values bit-identical
-    value = ((dilog(z * w ** -1) - _PI_SQ_OVER_6)
-             - (dilog(z * w) - _PI_SQ_OVER_6))
+    value = (dilog(z * w ** -1) - PI2_6) - (dilog(z * w) - PI2_6)
     log_z = principal_log(z)
     return value + p / 4 * log_z * log_z - log_z * principal_log(w)
 

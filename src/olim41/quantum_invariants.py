@@ -328,7 +328,8 @@ def _certified_zero(image, N, p):
 
 @lru_cache(maxsize=8)
 def _mp_tables(N, dps):
-    """t_a = 2 sin(pi a/N), zeta^j = exp(pi i j/(2N)) and y_k = 1 - q^k.
+    """t_a = 2 sin(pi a/N) = 2 Im zeta^{2a}, zeta^j = exp(pi i j/(2N)) and
+    y_k = 1 - q^k.
 
     The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N);
     the certificate runs the same loops over their images in F_l, and the
@@ -336,8 +337,8 @@ def _mp_tables(N, dps):
     from them at _DD_DPS digits. Call while holding _MP_LOCK.
     """
     with mp.workdps(dps):
-        t = [2 * mp.sinpi(mp.mpf(a) / N) for a in range(2 * N)]
         zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(4 * N)]
+        t = [2 * zeta[2 * a].imag for a in range(2 * N)]
         y = [1 - zeta[4 * k] for k in range(N)]
     return t, zeta, y
 

@@ -13,7 +13,10 @@ denominators) whose roots a dense companion-matrix solver finds, and a
 damped Newton iteration from a grid of complex starts seeded with the two
 roots of the w-quadratic at each grid point. The grid path exists for the
 z = -1 solutions, such as (-1, (-3 +- sqrt 5)/2) at p = 4, which the
-sources of truth require. At every p = 0 (mod 4) the numerator s^2 + s^p
+sources of truth require. At z = -1, s = +-i, the first equation reads
+(s^p - 1)(1 + w) = 0 and the second w^2 + 3w + 1 = 0, whose roots are
+not -1: z = -1 solves the system exactly when i^p = 1, that is at every
+p = 0 (mod 4). At these p the numerator s^2 + s^p
 and the denominator 1 + s^{p+2} both vanish at s = +-i, so the cleared
 polynomial has a double root there, but np.roots returns it about 1e-8
 off, where |1 + s^{p+2}| is 2e-8 or more. That is above the 1e-8 test
@@ -76,6 +79,7 @@ _LINE_SEARCH_BLOCK = 1024   # line-search candidates evaluated at once
 _DEDUP_DISTANCE = 1e-9      # max-norm distance at which points merge
 _GRID_DENSITY = 24          # grid starts per axis of the s-square
 _MEMBERSHIP_DISTANCE = 1e-8  # orbit membership of the geometric candidate
+_MAX_FRAMING = 1000         # largest |p| solve_fig8 takes (p = 1000: ~10 s)
 _LABEL_RANK = {
     "geometric-candidate": 0,
     "conjugate": 1,
@@ -108,14 +112,17 @@ class SaddlePoint:
 
 
 def _system(p, s, w):
+    """The defects f1, f2 of the two equations in (s, w), and the
+    z = s^2, s^p and u = 1 - z w they are made of."""
     z = s * s
+    sp = s ** p
     u = 1 - z * w
-    return s ** p * u - w + z, u * (w - z) - z * w
+    return sp * u - w + z, u * (w - z) - z * w, z, sp, u
 
 
 def _residual_sw(p, s, w):
     try:
-        f1, f2 = _system(p, s, w)
+        f1, f2, *_ = _system(p, s, w)
         r = max(abs(f1), abs(f2))
     except (OverflowError, ZeroDivisionError, ValueError):
         return math.inf
@@ -137,11 +144,7 @@ def _newton(p, s, w):
         if res < _NEWTON_TOLERANCE:
             return s, w, res, True
         try:
-            z = s * s
-            sp = s ** p
-            u = 1 - z * w
-            f1 = sp * u - w + z
-            f2 = u * (w - z) - z * w
+            f1, f2, z, sp, u = _system(p, s, w)
             j11 = p * s ** (p - 1) * u - 2 * s * w * sp + 2 * s
             j12 = -sp * z - 1
             j21 = -2 * s * w * (w - z) - 2 * s * u - 2 * s * w
@@ -442,13 +445,20 @@ def solve_fig8(p):
     all starts at once by _newton_many, polished to a residual below
     1e-13, deduplicated at max-norm distance 1e-9, filtered of
     cleared-root artifacts, branch-corrected and classified. Points are
-    sorted by label rank, then lexicographically by coordinates. The
-    elimination's np.roots on the degree-(2|p| + 6) polynomial has been
-    checked only for |p| <= 60. Past that the z = -1 pair (-1, (-3 +-
-    sqrt 5)/2) is lost: one point is missing at p = -100, -80, -64 and 64,
-    both at p = 80 and 100.
+    sorted by label rank, then lexicographically by coordinates.
+
+    |p| must be at most 1000 (DomainError otherwise): the elimination
+    polynomial has degree 2|p| + 6, and p = 1000 takes about 10 s. Checked
+    at every |p| <= 136, the set has 2|p| - 2 points at odd p and |p| at
+    even p for 5 <= |p| <= 136 (4 at p = 0, 6 at p = +-1 and +-3, 4 at
+    +-2, 2 at +-4), except at p = 0 (mod 4) in -136..-36 but -60 and in
+    60..136 but 132, where the z = -1 pair (-1, (-3 +- sqrt 5)/2) lacks a
+    point or both. np.roots first loses points at p = 137.
     """
     p = checked_framing(p)
+    if abs(p) > _MAX_FRAMING:
+        raise DomainError(
+            f"the saddle solver takes |p| <= {_MAX_FRAMING}, got p={p}")
 
     # s0, w0, s1, w1, ... of every start
     starts = np.fromiter(chain.from_iterable(

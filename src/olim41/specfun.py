@@ -15,7 +15,8 @@ opposite sign sometimes seen in print contradicts Li2(1) = +pi^2/6).
 
 import cmath
 import math
-from fractions import Fraction
+
+from mpmath import bernfrac
 
 from .errors import DomainError
 
@@ -28,30 +29,19 @@ _SERIES_RADIUS = 0.5
 _INVERSION_RADIUS = 1.5
 _REFLECTION_RADIUS = 0.5
 
-
-def _bernoulli_fractions(count):
-    """First `count` Bernoulli numbers B_0..B_{count-1}, exact."""
-    bern = [Fraction(1)]
-    for n in range(1, count):
-        # B_n = -1/(n+1) * sum_{j<n} C(n+1, j) B_j
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * bern[j]
-        bern.append(-acc / (n + 1))
-    return bern
-
-
-_BERN = _bernoulli_fractions(90)
+# exact Bernoulli numbers B_0..B_89 as (numerator, denominator); int true
+# division rounds the coefficients below correctly
+_BERN = [bernfrac(n) for n in range(90)]
 
 # Li2(z) = sum_{n>=0} B_n u^{n+1} / (n! (n+1)) with u = -log(1-z)
-_LOG_SERIES_COEF = [float(_BERN[n] / (math.factorial(n) * (n + 1)))
-                    for n in range(len(_BERN))]
+_LOG_SERIES_COEF = [num / (den * math.factorial(n) * (n + 1))
+                    for n, (num, den) in enumerate(_BERN)]
 
 # Cl2(theta) = theta - theta*log|theta|
 #              + sum_{n>=1} (-1)^{n+1} B_{2n} theta^{2n+1} / (2n(2n+1)(2n)!)
-_CLAUSEN_COEF = [float((-1) ** (n + 1) * _BERN[2 * n]
-                       / (2 * n * (2 * n + 1) * math.factorial(2 * n)))
-                 for n in range(1, len(_BERN) // 2)]
+_CLAUSEN_COEF = [(-1) ** (n + 1) * num
+                 / (den * 2 * n * (2 * n + 1) * math.factorial(2 * n))
+                 for n, (num, den) in enumerate(_BERN[2::2], start=1)]
 
 
 def _require_finite(value, name):

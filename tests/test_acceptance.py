@@ -11,8 +11,6 @@ import math
 import random
 import time
 
-import numpy as np
-
 from olim41.geometry_reference import limit_infinity
 from olim41.potential import eval_log_gradient, eval_potential
 from olim41.quantum_invariants import (
@@ -72,14 +70,6 @@ def _solved_p6():
 
 def _nearest(points, zeta, omega):
     return min(points, key=lambda pt: abs(pt.zeta - zeta) + abs(pt.omega - omega))
-
-
-def _clausen_pi3_series(blocks):
-    # sqrt(3)/2 * sum over residues 1,2,-4,-5 mod 6 of 1/n^2; tail < 1/(36 K^2)
-    base = 6.0 * np.arange(blocks, dtype=np.float64)
-    terms = ((base + 1.0) ** -2 + (base + 2.0) ** -2
-             - (base + 4.0) ** -2 - (base + 5.0) ** -2)
-    return math.sqrt(3.0) / 2.0 * float(terms.sum())
 
 
 def test_criterion_01_p6_solution_set():
@@ -185,11 +175,10 @@ def test_criterion_07_limit_sweep():
                    f"{elapsed:.1f}s")
 
 
-def test_criterion_08_limit_at_infinity():
+def test_criterion_08_limit_at_infinity(clausen_pi3_series):
     limit = limit_infinity()
-    oracle = _clausen_pi3_series(400_000)
     construction = abs(limit - 2j * clausen2(PI / 3))
-    series_err = abs(limit.imag - 2.0 * oracle)
+    series_err = abs(limit.imag - 2.0 * clausen_pi3_series)
     pin_err = abs(limit.imag - 2.0298832128)
     ok = (construction == 0.0 and abs(limit.real) < 1e-12
           and series_err < 1e-9 and pin_err < 5e-11)

@@ -46,6 +46,13 @@ class TestSaddleCommand:
         for row in rows:
             assert float(row["residual"]) < 1e-9
 
+    @pytest.mark.parametrize("p", [-1001, 1001])
+    def test_framing_past_bound_is_domain_error(self, capsys, p):
+        code, out, err = _run(["saddle", "--p", str(p)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1000" in err
+
 
 class TestWrtCommand:
     def test_both_forms_agree(self, capsys):

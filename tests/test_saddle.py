@@ -236,6 +236,17 @@ class TestZetaMinusOnePair:
     def test_both_returned(self, p):
         self._check_pair(p)
 
+    def test_solutions_exactly_at_multiples_of_four(self):
+        # at z = -1, s = +-i, the first equation is (s^p - 1)(1 + w) = 0
+        # and the second w^2 + 3w + 1 = 0, whose roots are not -1
+        for p in range(-40, 41):
+            for omega in self.OMEGAS:
+                residual = residual_fig8(p, -1.0, omega)
+                if p % 4 == 0:
+                    assert residual < 1e-13, (p, omega)
+                else:
+                    assert residual > 0.5, (p, omega)
+
     @pytest.mark.xfail(strict=True, reason=(
         "solve_fig8 drops one z = -1 point at p in {-100, -80, -64, "
         "-56, ..., -36, 60, 64} and both at p in {80, 100}; see ROADMAP "
@@ -243,6 +254,35 @@ class TestZetaMinusOnePair:
     @pytest.mark.parametrize("p", [-100, -80, -64, -40, 60, 64, 80, 100])
     def test_lost_at_wide_framings(self, p):
         self._check_pair(p)
+
+
+class TestPointCount:
+    """The number of points solve_fig8 returns: 2|p| - 2 at odd p and |p|
+    at even p for 5 <= |p| <= 136, where the z = -1 pair is complete."""
+
+    SMALL = {0: 4, 1: 6, -1: 6, 2: 4, -2: 4, 3: 6, -3: 6, 4: 2, -4: 2}
+
+    @pytest.mark.parametrize("p", sorted(SMALL))
+    def test_small_framings(self, p):
+        assert len(solve_fig8(p)) == self.SMALL[p]
+
+    # odd p and p = 2 (mod 4) up to |p| = 60; p = 0 (mod 4) only up to
+    # |p| = 32, since from |p| = 36 on a z = -1 point goes missing at most
+    # of these framings
+    @settings(derandomize=True, deadline=None, max_examples=10, database=None)
+    @given(sign=st.sampled_from((-1, 1)),
+           size=st.one_of(st.integers(5, 60).filter(lambda n: n % 4),
+                          st.integers(2, 8).map(lambda k: 4 * k)))
+    def test_closed_form(self, sign, size):
+        p = sign * size
+        assert len(solve_fig8(p)) == (2 * size - 2 if p % 2 else size)
+
+
+class TestFramingBound:
+    @pytest.mark.parametrize("p", [-1001, 1001])
+    def test_past_bound_raises(self, p):
+        with pytest.raises(DomainError, match="1000"):
+            solve_fig8(p)
 
 
 class TestEliminationPolynomial:

@@ -11,7 +11,6 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,14 +36,6 @@ def _dilog_power_series(z, terms=3000):
         total += term / (n * n)
         term *= z
     return total
-
-
-def _clausen_pi3_block_series(blocks=400_000):
-    # Cl2(pi/3) = (sqrt(3)/2) sum_k [(6k+1)^-2 + (6k+2)^-2 - (6k+4)^-2 - (6k+5)^-2];
-    # the bracket decays like k^-3, so the tail after 4e5 blocks is ~2e-13.
-    a = 6.0 * np.arange(blocks, dtype=np.float64)
-    s = 1 / (a + 1) ** 2 + 1 / (a + 2) ** 2 - 1 / (a + 4) ** 2 - 1 / (a + 5) ** 2
-    return math.sqrt(3.0) / 2.0 * float(np.sum(s))
 
 
 class TestPrincipalLog:
@@ -141,8 +132,8 @@ class TestDilog:
 
 
 class TestClausen:
-    def test_maximum_against_sine_series(self):
-        assert abs(clausen2(PI / 3) - _clausen_pi3_block_series()) < 2e-12
+    def test_maximum_against_sine_series(self, clausen_pi3_series):
+        assert abs(clausen2(PI / 3) - clausen_pi3_series) < 2e-12
 
     def test_maximum_pinned(self):
         assert abs(clausen2(PI / 3) - CL2_PI_3) < 5e-15
