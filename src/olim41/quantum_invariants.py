@@ -6,18 +6,24 @@ the Pochhammer-ratio double sum with its prefactor P(N) carried in exact
 closed form. Fractional powers q^x mean exp(2*pi*i*x/N) throughout; both
 routes share that convention, which is what makes them agree to rounding.
 
-The f64 kernels also report the summed magnitude of their terms. The sum
-cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
+Each route is first summed in float64 (_direct_sum_f64, _double_sum_f64),
+which also reports the summed magnitude of its terms. The sum cancels
+severely (individual terms grow like exp(0.32*N) while tau_N stays
 polynomially bounded; about 0.14*N + 4 digits are lost), so when the
 implied rounding noise abs_sum * 1e-15 exceeds a 1e-12 relative budget the
 sum is replayed. The first replay round is double-double (about 31 digits;
-Dekker, Numer. Math. 18, 1971): each term is a fixed product of prefix
-tables (S_k = prod_{a<=k} t_a and (q)_k, with their inverses), multiplied
-out over the whole triangle of terms at once with Dekker's TwoProd, and
-the hi and lo parts of all terms are summed exactly by math.fsum. The
-tables are built once per N (_dd_tables) from the 40-digit mpmath tables
-of the replay (_mp_tables) and split into double-doubles. Its noise floor
-is abs_sum * N * 2^-104, 33 times the largest error measured against a
+Dekker, Numer. Math. 18, 1971). The f64 pass and that round compute the
+same terms: each is a fixed product of prefix tables (S_k = prod_{a<=k}
+t_a and (q)_k, with their inverses), multiplied out over the whole
+triangle of terms at once, and all parts of all terms are summed exactly
+by math.fsum. The tables are built once per N (_dd_tables) from the
+40-digit mpmath tables of the replay (_mp_tables) and split into
+double-doubles; the f64 pass reads their hi rows and multiplies in plain
+float64, the round multiplies hi and lo parts with Dekker's TwoProd. No
+term carries a product from the one before, so the f64 error does not
+grow with n: against a 60-digit replay over N = 3..64 and p = 1..4N it
+stays below abs_sum * 1.3e-16. The double-double noise floor is
+abs_sum * N * 2^-104, 33 times the largest error measured against a
 60-digit replay over N = 3..96 at eleven framings in -40..40; at p = 6 it
 meets the budget up to N of about 120.
 Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
@@ -37,9 +43,9 @@ Each route is one exact-arithmetic loop (_direct_sum, _double_sum) over the
 tables t_a = 2 sin(pi a/N), zeta^j and y_k = 1 - q^k: the mpmath replay
 runs it over mpmath tables (_mp_tables), the certificate over their images
 in F_l (_field_tables). The double sum steps its Pochhammer ratio by
-multiplying, so the replay divides nothing. The double-double round is
-its own closed form (_direct_sum_dd, _double_sum_dd), tested against the
-mpmath replay of these loops.
+multiplying, so the replay divides nothing. The f64 pass and the
+double-double round are their own closed form (_direct_sum_dd,
+_double_sum_dd), tested against the mpmath replay of these loops.
 """
 
 import cmath
@@ -50,8 +56,6 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from ._kernels import direct_sum as _direct_sum_f64
-from ._kernels import double_sum as _double_sum_f64
 from .errors import (
     DomainError,
     PrecisionExhaustedError,
@@ -403,33 +407,34 @@ def _dd_phases(zeta, N, p):
     return zeta[:, (p % (4 * N)) * n * n % (4 * N)]
 
 
-def _dd_triangle_sum(N, terms):
-    """Sum of the complex double-doubles terms(n, l) over the triangle
-    1 <= n < N, 0 <= l < min(n, N - n), where neither sum vanishes exactly.
+def _triangle_sum(N, terms, width):
+    """Exact sums of the arrays terms(n, l) over the triangle 1 <= n < N,
+    0 <= l < min(n, N - n), where neither sum vanishes exactly.
 
-    terms takes index arrays and returns (re_hi, re_lo, im_hi, im_lo).
-    math.fsum of all the hi and lo parts is the correctly rounded exact sum.
-    Past _DD_BLOCK terms (N above about 510) the triangle runs in blocks of
-    whole rows, which bounds the memory, and each block keeps its rounded
-    sum and the rounded exact remainder, within 2^-106 of the block's sum.
+    terms takes index arrays and returns float64 arrays, read in groups of
+    width consecutive arrays; the result lists, per group, math.fsum of all
+    its parts, the correctly rounded exact sum. Past _DD_BLOCK terms (N
+    above about 510) the triangle runs in blocks of whole rows, which
+    bounds the memory, and each block keeps its rounded sum and the
+    rounded exact remainder, within 2^-106 of the block's sum.
     """
     rows = np.arange(1, N)
     counts = np.minimum(rows, N - rows)
     ends = np.cumsum(counts)
     cuts = np.searchsorted(ends, np.arange(_DD_BLOCK, ends[-1], _DD_BLOCK))
-    partial_re, partial_im = [], []
+    partials = {}
     for n, count in zip(np.split(rows, cuts), np.split(counts, cuts)):
         starts = np.repeat(np.cumsum(count) - count, count)
         n = np.repeat(n, count)
-        re_hi, re_lo, im_hi, im_lo = terms(n, np.arange(len(n)) - starts)
-        for partial, parts in ((partial_re, (re_hi, re_lo)),
-                               (partial_im, (im_hi, im_lo))):
-            parts = np.concatenate(parts).tolist()
+        arrays = terms(n, np.arange(len(n)) - starts)
+        for k in range(0, len(arrays), width):
+            partial = partials.setdefault(k, [])
+            parts = np.concatenate(arrays[k:k + width]).tolist()
             partial.append(math.fsum(parts))
             if len(cuts):
                 parts.append(-partial[-1])
                 partial.append(math.fsum(parts))
-    return complex(math.fsum(partial_re), math.fsum(partial_im))
+    return [math.fsum(partial) for partial in partials.values()]
 
 
 @lru_cache(maxsize=8)
@@ -442,6 +447,8 @@ def _dd_tables(N):
     zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
     zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n}.
     Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
+    The f64 pass reads their hi rows: row 0 of a real table, rows 0 and 2
+    (re_hi, im_hi) of a complex one.
     """
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
@@ -478,7 +485,7 @@ def _direct_sum_dd(N, p):
         ratio = (sign * hi, sign * lo)
         return (*_dd_mul(ratio, coef[:2, n]), *_dd_mul(ratio, coef[2:, n]))
 
-    return _dd_triangle_sum(N, terms)
+    return complex(*_triangle_sum(N, terms, 2))
 
 
 def _double_sum_dd(N, p):
@@ -489,8 +496,48 @@ def _double_sum_dd(N, p):
     """
     *_, A, B, Y, zeta = _dd_tables(N)
     coef = np.array(_dd_cmul(Y, _dd_phases(zeta, N, p)))
-    return _dd_triangle_sum(N, lambda n, m: _dd_cmul(
-        _dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]))
+    return complex(*_triangle_sum(N, lambda n, m: _dd_cmul(
+        _dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]), 2))
+
+
+def _hi(z):
+    """The hi parts of the complex double-doubles z as complex128."""
+    return z[0] + 1j * z[2]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _f64_triangle_sum(N, term):
+    """(sum, sum of moduli) of the complex128 terms term(n, l), both
+    summed exactly by _triangle_sum. Past N of about 2000 the terms
+    overflow, math.fsum raises, and (nan, inf) is returned.
+    """
+    def parts(n, l):
+        t = term(n, l)
+        return t.real, t.imag, np.abs(t)
+
+    try:
+        re, im, abs_sum = _triangle_sum(N, parts, 1)
+    except (ValueError, OverflowError):
+        return complex(math.nan, math.nan), math.inf
+    return complex(re, im), abs_sum
+
+
+def _direct_sum_f64(N, p):
+    """The terms of _direct_sum_dd in float64 from the hi rows of its
+    tables, summed as _f64_triangle_sum; each is the same fixed product,
+    so its error does not grow with n."""
+    S, S_inv, c, *_, zeta = _dd_tables(N)
+    coef = c[0] * _hi(_dd_phases(zeta, N, p))
+    return _f64_triangle_sum(N, lambda n, l: (
+        (1.0 - 2.0 * (l & 1)) * S[0, n + l] * S_inv[0, n - l - 1] * coef[n]))
+
+
+def _double_sum_f64(N, p):
+    """The terms of _double_sum_dd in float64 from the hi rows of its
+    tables, summed as _f64_triangle_sum."""
+    *_, A, B, Y, zeta = _dd_tables(N)
+    A, B, coef = _hi(A), _hi(B), _hi(Y) * _hi(_dd_phases(zeta, N, p))
+    return _f64_triangle_sum(N, lambda n, m: A[n + m] * B[n - m - 1] * coef[n])
 
 
 def _direct_sum_mp(N, p, dps):

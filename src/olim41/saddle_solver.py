@@ -79,7 +79,7 @@ _LINE_SEARCH_BLOCK = 1024   # line-search candidates evaluated at once
 _DEDUP_DISTANCE = 1e-9      # max-norm distance at which points merge
 _GRID_DENSITY = 24          # grid starts per axis of the s-square
 _MEMBERSHIP_DISTANCE = 1e-8  # orbit membership of the geometric candidate
-_MAX_FRAMING = 1000         # largest |p| solve_fig8 takes (p = 1000: ~10 s)
+_MAX_FRAMING = 136          # largest |p| at which np.roots keeps every point
 _LABEL_RANK = {
     "geometric-candidate": 0,
     "conjugate": 1,
@@ -447,13 +447,14 @@ def solve_fig8(p):
     cleared-root artifacts, branch-corrected and classified. Points are
     sorted by label rank, then lexicographically by coordinates.
 
-    |p| must be at most 1000 (DomainError otherwise): the elimination
-    polynomial has degree 2|p| + 6, and p = 1000 takes about 10 s. Checked
-    at every |p| <= 136, the set has 2|p| - 2 points at odd p and |p| at
-    even p for 5 <= |p| <= 136 (4 at p = 0, 6 at p = +-1 and +-3, 4 at
-    +-2, 2 at +-4), except at p = 0 (mod 4) in -136..-36 but -60 and in
-    60..136 but 132, where the z = -1 pair (-1, (-3 +- sqrt 5)/2) lacks a
-    point or both. np.roots first loses points at p = 137.
+    |p| must be at most 136 (DomainError otherwise). The elimination
+    polynomial has degree 2|p| + 6, and np.roots first loses points of it
+    at p = 137 (270 of 272), so past the bound the set would be incomplete
+    without a sign. Checked at every |p| <= 136, the set has 2|p| - 2
+    points at odd p and |p| at even p for 5 <= |p| <= 136 (4 at p = 0, 6
+    at p = +-1 and +-3, 4 at +-2, 2 at +-4), except at p = 0 (mod 4) in
+    -136..-36 but -60 and in 60..136 but 132, where the z = -1 pair
+    (-1, (-3 +- sqrt 5)/2) lacks a point or both.
     """
     p = checked_framing(p)
     if abs(p) > _MAX_FRAMING:

@@ -279,9 +279,10 @@ class TestPointCount:
 
 
 class TestFramingBound:
-    @pytest.mark.parametrize("p", [-1001, 1001])
+    # np.roots loses two of the 272 points at p = 137
+    @pytest.mark.parametrize("p", [-137, 137])
     def test_past_bound_raises(self, p):
-        with pytest.raises(DomainError, match="1000"):
+        with pytest.raises(DomainError, match="136"):
             solve_fig8(p)
 
 
