@@ -50,6 +50,7 @@ _double_sum_dd), tested against the mpmath replay of these loops.
 
 import cmath
 import math
+import sys
 import threading
 from functools import lru_cache
 
@@ -294,6 +295,7 @@ def _certificate_fields(N):
     return tuple(fields)
 
 
+@lru_cache(maxsize=8)
 def _field_tables(N, ell, r):
     """The replay's three tables in F_ell under zeta -> r, i = zeta^N -> r^N;
     t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}."""
@@ -338,16 +340,23 @@ def _mp_tables(N, dps):
     The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N);
     the certificate runs the same loops over their images in F_l, and the
     double sum divides nothing. _dd_tables builds the double-double tables
-    from them at _DD_DPS digits. Call while holding _MP_LOCK.
+    from them at _DD_DPS digits. Only zeta^j for 0 <= j <= N/2 calls
+    mp.expjpi; the rest of the table is exact part swaps and negations of
+    those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j.
+    Call while holding _MP_LOCK.
     """
     with mp.workdps(dps):
-        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(4 * N)]
+        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(N // 2 + 1)]
+        zeta += [mp.mpc(z.imag, z.real) for z in zeta[(N - 1) // 2:0:-1]]
+        for _ in range(3):
+            zeta += [mp.mpc(-z.imag, z.real) for z in zeta[-N:]]
         t = [2 * zeta[2 * a].imag for a in range(2 * N)]
         y = [1 - zeta[4 * k] for k in range(N)]
     return t, zeta, y
 
 
 _SPLITTER = 134217729.0    # 2^27 + 1: Dekker's split of a float64 into halves
+_FLOAT_MIN = sys.float_info.min
 
 
 def _two_prod(a, b):
@@ -390,9 +399,32 @@ def _dd_cmul(a, b):
 
 
 def _dd_split(values):
-    """The mpf values as a (2, len) float64 array of (hi, lo) rows."""
-    hi = [float(v) for v in values]
-    return np.array([hi, [float(v - h) for v, h in zip(values, hi)]])
+    """The mpf values as a (2, len) float64 array of (hi, lo) rows, bit for
+    bit hi = float(v) and lo = float(v - hi).
+
+    Each v = man * 2^exp is split from its integer mantissa: float(man)
+    rounds half-even to 53 bits as float(v) does, the remainder
+    man - int(float(man)) is exact, and ldexp scales both. Zero, values
+    whose hi would overflow or fall below the normal range, and mantissas
+    past the float range are converted under mpmath as stated.
+    """
+    hi, lo = [], []
+    for v in values:
+        sign, man, exp, _ = v._mpf_
+        man = -man if sign else man
+        try:
+            h = float(man)
+            a = math.ldexp(h, exp)
+        except OverflowError:
+            a = 0.0    # float(v) below gives +-inf, as mpmath does
+        if abs(a) >= _FLOAT_MIN:
+            hi.append(a)
+            lo.append(math.ldexp(float(man - int(h)), exp))
+        else:
+            h = float(v)
+            hi.append(h)
+            lo.append(float(v - h))
+    return np.array([hi, lo])
 
 
 def _dd_split_complex(values):

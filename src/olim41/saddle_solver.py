@@ -438,6 +438,36 @@ def _polished(p, roots):
         yield s, z, w, residual, sheet
 
 
+def _deduplicated(candidates):
+    """The (z, w, residual, sheet) candidates, merged at max-norm distance
+    _DEDUP_DISTANCE.
+
+    Taken in ascending order of (z, w), each candidate merges into the
+    first kept point within the distance, which then holds whichever of
+    the two has the lower residual, or else is kept. Only kept points
+    whose Re z lies within the distance of the candidate's are compared:
+    the order is ascending in Re z, a rounded difference is monotone in
+    its operands and abs bounds |Re|, and a kept point changes only on a
+    merge, so one that falls behind can never merge again.
+    """
+    candidates = sorted(candidates, key=lambda c: (c[0].real, c[0].imag,
+                                                   c[1].real, c[1].imag))
+    kept, window = [], []
+    for z, w, residual, sheet in candidates:
+        window = [k for k in window
+                  if z.real - kept[k][0].real < _DEDUP_DISTANCE]
+        for k in window:
+            zk, wk, rk, _ = kept[k]
+            if max(abs(z - zk), abs(w - wk)) < _DEDUP_DISTANCE:
+                if residual < rk:
+                    kept[k] = (z, w, residual, sheet)
+                break
+        else:
+            window.append(len(kept))
+            kept.append((z, w, residual, sheet))
+    return kept
+
+
 def solve_fig8(p):
     """All critical points of the surgery potential at framing p.
 
@@ -465,21 +495,8 @@ def solve_fig8(p):
     starts = np.fromiter(chain.from_iterable(
         chain(_elimination_starts(p), _grid_starts())), dtype=complex)
     roots = _newton_many(p, starts[0::2], starts[1::2])
-    polished = [(z, w, residual, sheet) for _, z, w, residual, sheet
-                in _polished(p, roots)]
-    polished.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
-    kept = []
-    for z, w, residual, sheet in polished:
-        merged = False
-        for idx, (zk, wk, rk, sk) in enumerate(kept):
-            if max(abs(z - zk), abs(w - wk)) < _DEDUP_DISTANCE:
-                if residual < rk:
-                    kept[idx] = (z, w, residual, sheet)
-                merged = True
-                break
-        if not merged:
-            kept.append((z, w, residual, sheet))
-
+    kept = _deduplicated([(z, w, residual, sheet) for _, z, w, residual, sheet
+                          in _polished(p, roots)])
     points = []
     for z, w, residual, sheet in kept:
         try:

@@ -251,6 +251,109 @@ class TestDoubleDoubleRound:
             assert abs(dd(40, 6) - whole[dd]) <= floor, dd.__name__
 
 
+def _split_bits(pairs):
+    return [(hi.hex(), lo.hex()) for hi, lo in pairs]
+
+
+class TestDoubleDoubleSplit:
+    """_dd_split gives, bit for bit, float(v) and float(v - float(v))."""
+
+    @staticmethod
+    def reference(values):
+        return _split_bits((float(v), float(v - float(v))) for v in values)
+
+    def check(self, values):
+        split = qi._dd_split(values)
+        assert split.shape == (2, len(values))
+        assert _split_bits(zip(*split.tolist())) == self.reference(values)
+
+    def test_signed_values_and_zero(self):
+        with mp.workdps(40):
+            third, pi = mp.mpf(1) / 3, +mp.pi
+            self.check([mp.mpf(0), third, -third, pi, -pi, mp.mpf(1),
+                        mp.mpf(-1), 1 + mp.mpf(2) ** -60, -1 - mp.mpf(2) ** -60])
+
+    def test_mantissas_within_53_bits(self):
+        with mp.workdps(40):
+            self.check([mp.mpf(0.1), mp.mpf(-0.1), mp.mpf(2 ** 53 - 1),
+                        -mp.mpf(2 ** 53 - 1), mp.mpf(12345.5), mp.mpf(2) ** -1000,
+                        mp.mpf(5e-324), -mp.mpf(2 ** 52 + 1) * 2 ** 960])
+
+    def test_half_way_mantissas_round_to_even(self):
+        with mp.workdps(40):
+            half = mp.mpf(2) ** -53
+            self.check([1 + half, 1 + 3 * half, -(1 + half), -(1 + 3 * half),
+                        1 + half + mp.mpf(2) ** -100])
+
+    def test_near_the_ends_of_the_float_range(self):
+        with mp.workdps(40):
+            self.check([sign * mp.mpf(10) ** e / 7 for sign in (1, -1)
+                        for e in (-308, -300, -290, 290, 300, 308)])
+
+    def test_past_the_float_range(self):
+        # overflow gives +-inf, underflow 0.0 or a subnormal, as mpmath does
+        with mp.workdps(40):
+            values = [sign * mp.mpf(10) ** e / 7 for sign in (1, -1)
+                      for e in (-400, -320, -310, 310, 400)]
+            self.check(values)
+        hi = qi._dd_split(values)[0].tolist()
+        assert hi[0] == 0.0 and 0 < hi[1] < 2.3e-308
+        assert hi[3:5] == [math.inf, math.inf] and hi[8:] == [-math.inf, -math.inf]
+
+    def test_mantissas_past_the_float_range(self):
+        # at 400 digits the mantissa of 1/3 has about 1330 bits
+        with mp.workdps(400):
+            third = mp.mpf(1) / 3
+            self.check([third, -third, third * mp.mpf(10) ** 300])
+
+    def test_random_values(self):
+        rng = random.Random(14)
+        with mp.workdps(40):
+            values = [mp.mpf(rng.uniform(-1, 1)) / 3
+                      * mp.mpf(2) ** rng.randint(-1000, 1000) for _ in range(500)]
+            self.check(values)
+
+    def test_table_entries(self):
+        with qi._MP_LOCK, mp.workdps(qi._DD_DPS):
+            t, zeta, _ = qi._mp_tables(37, qi._DD_DPS)
+            self.check(t + [1 / v for v in t[1:37]]
+                       + [z.real for z in zeta] + [z.imag for z in zeta])
+
+
+class TestZetaTable:
+    """Only zeta^j for 0 <= j <= N/2 is transcendental; the rest of the
+    table is exact part swaps and negations of those entries."""
+
+    @pytest.mark.parametrize("dps", [40, 100])
+    @pytest.mark.parametrize("N", [3, 4, 5, 36, 37, 97])
+    def test_filled_entries(self, N, dps):
+        with qi._MP_LOCK, mp.workdps(dps):
+            _, zeta, _ = qi._mp_tables(N, dps)
+            assert len(zeta) == 4 * N
+            for j in range(3 * N):   # zeta^{j+N} = i zeta^j
+                assert zeta[j + N].real == -zeta[j].imag, (N, j)
+                assert zeta[j + N].imag == zeta[j].real, (N, j)
+            for j in range(1, N):    # zeta^{N-j} = i conj(zeta^j)
+                assert zeta[N - j].real == zeta[j].imag, (N, j)
+                assert zeta[N - j].imag == zeta[j].real, (N, j)
+            tol = mp.mpf(10) ** (2 - dps)
+            for j in range(4 * N):
+                assert abs(zeta[j] - mp.expjpi(mp.mpf(j) / (2 * N))) <= tol, (N, j)
+
+    @pytest.mark.parametrize("N", [3, 4, 37, 96])
+    def test_transcendental_calls(self, N, monkeypatch):
+        calls = []
+
+        def expjpi(x):
+            calls.append(x)
+            return mp.mpc(mp.cospi(x), mp.sinpi(x))
+
+        monkeypatch.setattr(qi.mp, "expjpi", expjpi)
+        with qi._MP_LOCK:
+            qi._mp_tables.__wrapped__(N, 30)   # past the cache
+        assert len(calls) == N // 2 + 1
+
+
 class TestF64Pass:
     # At N = 22 the f64 pass alone resolves these framings. A direct sum
     # that carries its colored Jones product from term to term returned
@@ -349,6 +452,21 @@ class TestFiniteFieldImage:
         for ell, r in qi._certificate_fields(5):
             assert qi._direct_sum_mod(5, 1, ell, r) != 0
             assert qi._double_sum_mod(5, 1, ell, r) != 0
+
+    def test_field_tables_built_once_per_field(self):
+        # the three zeros at N = 37 over both routes ask 12 times for the
+        # tables of the two fields; the sum loops leave the cached lists as
+        # built
+        qi._field_tables.cache_clear()
+        ctx = RootOfUnityContext(37)
+        for p in (2, 6, 10):
+            assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
+        info = qi._field_tables.cache_info()
+        assert (info.misses, info.hits) == (2, 10)
+        for ell, r in qi._certificate_fields(37):
+            assert qi._field_tables(37, ell, r) == \
+                qi._field_tables.__wrapped__(37, ell, r)
+            assert qi._direct_sum_mod(37, 1, ell, r) != 0
 
     def test_certificate_needs_every_field(self):
         first = qi._certificate_fields(5)[0][0]

@@ -7,6 +7,7 @@ Orbit closure and re-residualization make the checks self-validating.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import chain, product
 
@@ -276,6 +277,69 @@ class TestPointCount:
     def test_closed_form(self, sign, size):
         p = sign * size
         assert len(solve_fig8(p)) == (2 * size - 2 if p % 2 else size)
+
+
+def _deduplicated_by_full_scan(candidates):
+    """The reference dedup: each candidate, in ascending (z, w) order, is
+    compared with every kept point and merges into the first within the
+    distance, which keeps the lower residual."""
+    candidates = sorted(candidates, key=lambda c: (c[0].real, c[0].imag,
+                                                   c[1].real, c[1].imag))
+    kept = []
+    for z, w, residual, sheet in candidates:
+        merged = False
+        for idx, (zk, wk, rk, sk) in enumerate(kept):
+            if max(abs(z - zk), abs(w - wk)) < saddle_solver._DEDUP_DISTANCE:
+                if residual < rk:
+                    kept[idx] = (z, w, residual, sheet)
+                merged = True
+                break
+        if not merged:
+            kept.append((z, w, residual, sheet))
+    return kept
+
+
+class TestDeduplication:
+    """The windowed dedup keeps, in order, what the full scan keeps."""
+
+    @staticmethod
+    def check(candidates):
+        assert (repr(saddle_solver._deduplicated(candidates))
+                == repr(_deduplicated_by_full_scan(candidates)))
+
+    @pytest.mark.parametrize("p", [-100, -36, -2, 0, 6, 60, 101])
+    def test_solver_candidates(self, p):
+        starts = list(chain.from_iterable(chain(
+            saddle_solver._elimination_starts(p), saddle_solver._grid_starts())))
+        roots = saddle_solver._newton_many(p, starts[0::2], starts[1::2])
+        candidates = [(z, w, residual, sheet) for _, z, w, residual, sheet
+                      in saddle_solver._polished(p, roots)]
+        assert len(saddle_solver._deduplicated(candidates)) < len(candidates)
+        self.check(candidates)
+
+    def test_shared_real_parts_and_chains(self):
+        # points 4e-10 apart chain past the 1e-9 distance along Re z, along
+        # Im z at one Re z, and along w; residuals in mixed order make kept
+        # points move up along the chain
+        step = 4e-10
+        chains = ([(complex(0.5 + k * step, 0.25), 1j) for k in range(12)]
+                  + [(complex(0.5, 1 + k * step), 1j) for k in range(12)]
+                  + [(complex(0.5, -1.0), k * step) for k in range(12)])
+        residuals = [(k * 7) % 12 * 1e-15 for k in range(len(chains))]
+        self.check([(z, w, r, k) for k, ((z, w), r)
+                    in enumerate(zip(chains, residuals))])
+
+    def test_random_clusters(self):
+        rng = random.Random(701)
+        for _ in range(200):
+            grid = [k * 5e-10 for k in range(6)]
+            candidates = [
+                (complex(1 + rng.choice(grid) + rng.uniform(-1e-10, 1e-10),
+                         rng.choice(grid)),
+                 complex(rng.choice(grid), 0.0),
+                 rng.choice([1e-15, 2e-15, 3e-15]), k)
+                for k in range(rng.randint(1, 40))]
+            self.check(candidates)
 
 
 class TestFramingBound:
