@@ -14,18 +14,21 @@ implied rounding noise abs_sum * 1e-15 exceeds a 1e-12 relative budget the
 sum is replayed. The first replay round is double-double (about 31 digits;
 Dekker, Numer. Math. 18, 1971). The f64 pass and that round compute the
 same terms: each is a fixed product of prefix tables (S_k = prod_{a<=k}
-t_a and (q)_k, with their inverses), multiplied out over the whole
-triangle of terms at once, and all parts of all terms are summed exactly
-by math.fsum. The tables are built once per N (_dd_tables) from the
-40-digit mpmath tables of the replay (_mp_tables) and split into
-double-doubles; the f64 pass reads their hi rows and multiplies in plain
-float64, the round multiplies hi and lo parts with Dekker's TwoProd. No
-term carries a product from the one before, so the f64 error does not
-grow with n: against a 60-digit replay over N = 3..64 and p = 1..4N it
-stays below abs_sum * 1.3e-16. The double-double noise floor is
-abs_sum * N * 2^-104, 33 times the largest error measured against a
-60-digit replay over N = 3..96 at eleven framings in -40..40; at p = 6 it
-meets the budget up to N of about 120.
+t_a and (q)_k, with their inverses), and all parts of the terms are summed
+exactly by math.fsum. The tables are built once per N (_dd_tables) from
+the 40-digit mpmath tables of the replay (_mp_tables) and split into
+double-doubles. The f64 pass reads their hi rows and multiplies the whole
+triangle of terms out in plain float64 at every framing. The framing p
+enters either sum only through the phase zeta^{p n^2} of its row n, so the
+round sums each row exactly once per order, multiplying hi and lo parts
+with Dekker's TwoProd, and rounds it to a double-double
+(_direct_rows_dd, _double_rows_dd); a framing then costs one dot of the N
+rows with its phases. No term carries a product from the one before, so
+the f64 error does not grow with n: against a 60-digit replay over
+N = 3..64 and p = 1..4N it stays below abs_sum * 1.3e-16. The
+double-double noise floor is abs_sum * N * 2^-104, 33 times the largest
+error measured against a 60-digit replay over N = 3..96 at eleven framings
+in -40..40; at p = 6 it meets the budget up to N of about 120.
 Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
 precision taken from the cancellation the previous round measured. A
 round whose result is itself rounding noise escalates again at twice its
@@ -39,13 +42,16 @@ sum whose image vanishes modulo two such primes is returned as exact 0j;
 any other escalates on, and at the round cap raises PrecisionExhaustedError
 instead of returning rounding noise. Public functions return Python complex.
 
-Each route is one exact-arithmetic loop (_direct_sum, _double_sum) over the
-tables t_a = 2 sin(pi a/N), zeta^j and y_k = 1 - q^k: the mpmath replay
-runs it over mpmath tables (_mp_tables), the certificate over their images
-in F_l (_field_tables). The double sum steps its Pochhammer ratio by
-multiplying, so the replay divides nothing. The f64 pass and the
-double-double round are their own closed form (_direct_sum_dd,
-_double_sum_dd), tested against the mpmath replay of these loops.
+Each route is one exact-arithmetic loop over the tables t_a = 2 sin(pi a/N),
+zeta^j and y_k = 1 - q^k, which builds its framing-independent rows
+(_direct_rows, _double_rows), and one dot of the rows with zeta^{p n^2}
+(_framed). The mpmath replay runs them over mpmath tables (_mp_tables),
+the certificate over their images in F_l (_field_tables), where it keeps
+the rows of each order and field (_field_rows), so a further framing costs
+O(N). The double sum steps its Pochhammer ratio by multiplying, so the
+replay divides nothing. The f64 pass and the double-double round are their
+own closed form (_direct_sum_dd, _double_sum_dd), tested against the
+mpmath replay of these loops.
 """
 
 import cmath
@@ -208,40 +214,63 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
     )
 
 
-def _direct_sum(N, p, t, zeta, reduce):
-    """t_1^2 times the bare direct sum, in the ring of the tables.
+def _direct_rows(N, t, reduce):
+    """t_1^2 times the rows [n]^2 J_n, 1 <= n < N, of the bare direct sum,
+    in the ring of the tables.
 
-    t[a] = 2 sin(pi a/N) and zeta[j] = zeta^j, zeta = exp(pi*i/(2N)), as
-    _mp_tables builds them; reduce(v) is v in the ring's canonical form.
-    [n]^2 = (t_n / t_1)^2 and each colored Jones factor pair is
-    -t_{n+l} t_{n-l}, so the loop needs no division: the caller divides by
-    t_1^2 where it needs the bare sum.
+    t[a] = 2 sin(pi a/N), as _mp_tables builds it; reduce(v) is v in the
+    ring's canonical form. [n]^2 = (t_n / t_1)^2 and each colored Jones
+    factor pair is -t_{n+l} t_{n-l}, so the loop needs no division: the
+    caller divides by t_1^2 where it needs the bare sum. No row depends on
+    the framing.
     """
-    total = 0
+    rows = []
     for n in range(1, N):
         prod = jsum = 1
         for l in range(1, n):
             prod = reduce(-prod * t[n + l] * t[n - l])
             jsum += prod
-        total += reduce(t[n] * t[n] * jsum) * zeta[(p * n * n) % (4 * N)]
+        rows.append(reduce(t[n] * t[n] * jsum))
+    return rows
+
+
+def _double_rows(N, y, zeta, reduce):
+    """The rows of the bare double sum, 1 <= n < N, in the ring of the
+    tables: sum_m (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1}) zeta^{-4nm-4n}.
+
+    y[k] = 1 - q^k and zeta[j] = zeta^j, zeta = exp(pi*i/(2N)). The
+    Pochhammer ratio is y_n prod_{j=n-m}^{n+m} y_j, so each step m
+    multiplies in y_{n+m} y_{n-m} and nothing is divided. n + m >= N
+    contributes exactly 0 via (q)_{n+m} = 0; skip it. No row depends on
+    the framing.
+    """
+    rows = []
+    for n in range(1, N):
+        ratio, row = 1, 0
+        for m in range(min(n, N - n)):
+            ratio = reduce(ratio * y[n + m] * y[n - m])
+            row += ratio * zeta[(-4 * n * m - 4 * n) % (4 * N)]
+        rows.append(reduce(row))
+    return rows
+
+
+def _framed(N, p, rows, zeta, reduce):
+    """sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, the framing's only part in
+    either sum."""
+    total = 0
+    for n, row in enumerate(rows, 1):
+        total += row * zeta[(p * n * n) % (4 * N)]
     return reduce(total)
+
+
+def _direct_sum(N, p, t, zeta, reduce):
+    """t_1^2 times the bare direct sum, in the ring of the tables."""
+    return _framed(N, p, _direct_rows(N, t, reduce), zeta, reduce)
 
 
 def _double_sum(N, p, y, zeta, reduce):
-    """The bare double sum, in the ring of the tables.
-
-    y[k] = 1 - q^k and zeta as for _direct_sum. The Pochhammer ratio
-    (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1}) is y_n prod_{j=n-m}^{n+m} y_j,
-    so each step m multiplies in y_{n+m} y_{n-m} and nothing is divided.
-    n + m >= N contributes exactly 0 via (q)_{n+m} = 0; skip it.
-    """
-    total = 0
-    for n in range(1, N):
-        ratio = 1
-        for m in range(min(n, N - n)):
-            ratio = reduce(ratio * y[n + m] * y[n - m])
-            total += ratio * zeta[(p * n * n - 4 * n * m - 4 * n) % (4 * N)]
-    return reduce(total)
+    """The bare double sum, in the ring of the tables."""
+    return _framed(N, p, _double_rows(N, y, zeta, reduce), zeta, reduce)
 
 
 def _is_prime(n):
@@ -307,27 +336,43 @@ def _field_tables(N, ell, r):
     return t, zeta, y
 
 
+@lru_cache(maxsize=8)
+def _field_rows(N, ell, r, route):
+    """The rows of route ("direct" or "double") in F_ell under zeta -> r,
+    built once per order and field, so a further framing costs one
+    _framed pass of N terms."""
+    t, zeta, y = _field_tables(N, ell, r)
+    if route == "direct":
+        return tuple(_direct_rows(N, t, lambda v: v % ell))
+    return tuple(_double_rows(N, y, zeta, lambda v: v % ell))
+
+
 def _direct_sum_mod(N, p, ell, r):
     """Image in F_ell of _direct_sum: t_1^2, a unit, times the bare sum."""
-    t, zeta, _ = _field_tables(N, ell, r)
-    return _direct_sum(N, p, t, zeta, lambda v: v % ell)
+    _, zeta, _ = _field_tables(N, ell, r)
+    return _framed(N, p, _field_rows(N, ell, r, "direct"), zeta,
+                   lambda v: v % ell)
 
 
 def _double_sum_mod(N, p, ell, r):
     """Image in F_ell of the bare double sum under zeta -> r."""
-    _, zeta, y = _field_tables(N, ell, r)
-    return _double_sum(N, p, y, zeta, lambda v: v % ell)
+    _, zeta, _ = _field_tables(N, ell, r)
+    return _framed(N, p, _field_rows(N, ell, r, "double"), zeta,
+                   lambda v: v % ell)
 
 
 def _certified_zero(image, N, p):
     """True when image(N, p, l, r) vanishes in every certificate field.
 
-    The image is a ring map of a sum in Z[zeta], so a true zero always
-    passes. A nonzero sum that passed would have to lie in a degree-one
-    prime above each of two primes near 2^61, and, since _escalated asks
-    only after its double-double round missed the budget, that round's
-    value would also have to sit within 1e12 times its noise floor
-    abs_sum * N * 2^-104. The check proves nothing beyond those conditions.
+    Each image is the dot of its route's rows, built once per order and
+    field by _field_rows, with the framing's phases zeta^{p n^2}, so the
+    second and third zeros of an order cost O(N) per field. The image is a
+    ring map of a sum in Z[zeta], so a true zero always passes. A nonzero
+    sum that passed would have to lie in a degree-one prime above each of
+    two primes near 2^61, and, since _escalated asks only after its
+    double-double round missed the budget, that round's value would also
+    have to sit within 1e12 times its noise floor abs_sum * N * 2^-104.
+    The check proves nothing beyond those conditions.
     """
     return all(image(N, p, ell, r) == 0 for ell, r in _certificate_fields(N))
 
@@ -439,34 +484,70 @@ def _dd_phases(zeta, N, p):
     return zeta[:, (p % (4 * N)) * n * n % (4 * N)]
 
 
-def _triangle_sum(N, terms, width):
-    """Exact sums of the arrays terms(n, l) over the triangle 1 <= n < N,
-    0 <= l < min(n, N - n), where neither sum vanishes exactly.
+def _triangle_blocks(N):
+    """The triangle 1 <= n < N, 0 <= l < min(n, N - n) in blocks of whole
+    rows of about _DD_BLOCK terms (one block up to N of about 510), which
+    bounds the memory of the arrays built over it.
 
-    terms takes index arrays and returns float64 arrays, read in groups of
-    width consecutive arrays; the result lists, per group, math.fsum of all
-    its parts, the correctly rounded exact sum. Past _DD_BLOCK terms (N
-    above about 510) the triangle runs in blocks of whole rows, which
-    bounds the memory, and each block keeps its rounded sum and the
-    rounded exact remainder, within 2^-106 of the block's sum.
+    Yields (counts, n, l) per block: the term count of each of its rows and
+    the index arrays of its terms, row after row.
     """
     rows = np.arange(1, N)
     counts = np.minimum(rows, N - rows)
     ends = np.cumsum(counts)
     cuts = np.searchsorted(ends, np.arange(_DD_BLOCK, ends[-1], _DD_BLOCK))
-    partials = {}
-    for n, count in zip(np.split(rows, cuts), np.split(counts, cuts)):
+    for block, count in zip(np.split(rows, cuts), np.split(counts, cuts)):
         starts = np.repeat(np.cumsum(count) - count, count)
-        n = np.repeat(n, count)
-        arrays = terms(n, np.arange(len(n)) - starts)
-        for k in range(0, len(arrays), width):
+        n = np.repeat(block, count)
+        yield count, n, np.arange(len(n)) - starts
+
+
+def _triangle_sum(N, terms):
+    """Exact sums of the float64 arrays terms(n, l) over the triangle,
+    where no sum vanishes exactly.
+
+    terms takes the index arrays of _triangle_blocks; the result lists, per
+    array, math.fsum of its entries, the correctly rounded exact sum. Past
+    one block each block keeps its rounded sum and the rounded exact
+    remainder, within 2^-106 of the block's sum.
+    """
+    blocked = N * N // 4 > _DD_BLOCK    # the triangle holds N^2 // 4 terms
+    partials = {}
+    for _, n, l in _triangle_blocks(N):
+        for k, array in enumerate(terms(n, l)):
             partial = partials.setdefault(k, [])
-            parts = np.concatenate(arrays[k:k + width]).tolist()
+            parts = array.tolist()
             partial.append(math.fsum(parts))
-            if len(cuts):
+            if blocked:
                 parts.append(-partial[-1])
                 partial.append(math.fsum(parts))
     return [math.fsum(partial) for partial in partials.values()]
+
+
+def _triangle_rows(N, terms):
+    """Exact row sums of the double-double arrays terms(n, l), as a
+    (len(terms), N) array of double-doubles whose column 0 is zero.
+
+    terms takes the index arrays of _triangle_blocks and returns (hi, lo)
+    pairs of arrays. For each pair, column n holds hi = math.fsum of the hi
+    and lo parts of every term of row n and lo = math.fsum of the rest, so
+    the row is within 2^-106 of its exact sum. A row never spans two
+    blocks.
+    """
+    sums = []
+    for counts, n, l in _triangle_blocks(N):
+        arrays = [array.tolist() for array in terms(n, l)]
+        end = 0
+        for count in counts.tolist():
+            start, end = end, end + count
+            row = []
+            for hi, lo in zip(arrays[::2], arrays[1::2]):
+                parts = hi[start:end] + lo[start:end]
+                row.append(math.fsum(parts))
+                parts.append(-row[-1])
+                row.append(math.fsum(parts))
+            sums.append(row)
+    return np.array([[0.0] * len(sums[0]), *sums]).T
 
 
 @lru_cache(maxsize=8)
@@ -479,8 +560,11 @@ def _dd_tables(N):
     zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
     zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n}.
     Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
-    The f64 pass reads their hi rows: row 0 of a real table, rows 0 and 2
-    (re_hi, im_hi) of a complex one.
+    None depends on the framing: the double-double round builds its rows
+    from them once per order (_direct_rows_dd, _double_rows_dd) and takes
+    only the phases zeta^{p n^2} per framing. The f64 pass reads their hi
+    rows (row 0 of a real table, rows 0 and 2, re_hi and im_hi, of a
+    complex one) and multiplies its whole triangle out at every framing.
     """
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
@@ -500,36 +584,60 @@ def _dd_tables(N):
                 _dd_split_complex(zeta))
 
 
-def _direct_sum_dd(N, p):
-    """The bare direct sum in double-double arithmetic.
+@lru_cache(maxsize=8)
+def _direct_rows_dd(N):
+    """The rows c_n sum_l (-1)^l S_{n+l} / S_{n-l-1} of the bare direct sum
+    as a (2, N) array of double-doubles, built once per order.
 
-    Term (n, l) of _direct_sum over t_1^2 is
-    (-1)^l S_{n+l} / S_{n-l-1} * t_n zeta^{p n^2} / t_1^2, a fixed product
-    of table entries, so no product is carried from step to step.
+    Term (n, l) of the inner sum is a fixed product of _dd_tables entries,
+    so no product is carried from step to step; the exact row sum is then
+    multiplied by c_n = t_n / t_1^2.
     """
-    S, S_inv, c, *_, zeta = _dd_tables(N)
-    phase = _dd_phases(zeta, N, p)
-    coef = np.array([*_dd_mul(c, phase[:2]), *_dd_mul(c, phase[2:])])
+    S, S_inv, c, *_ = _dd_tables(N)
 
     def terms(n, l):
         hi, lo = _dd_mul(S[:, n + l], S_inv[:, n - l - 1])
         sign = 1.0 - 2.0 * (l & 1)
-        ratio = (sign * hi, sign * lo)
-        return (*_dd_mul(ratio, coef[:2, n]), *_dd_mul(ratio, coef[2:, n]))
+        return sign * hi, sign * lo
 
-    return complex(*_triangle_sum(N, terms, 2))
+    return np.array(_dd_mul(_triangle_rows(N, terms), c))
+
+
+@lru_cache(maxsize=8)
+def _double_rows_dd(N):
+    """The rows Y_n sum_m A_{n+m} B_{n-m-1} of the bare double sum as a
+    (4, N) array of complex double-doubles, built once per order from the
+    tables of _dd_tables."""
+    *_, A, B, Y, _ = _dd_tables(N)
+    rows = _triangle_rows(
+        N, lambda n, m: _dd_cmul(A[:, n + m], B[:, n - m - 1]))
+    return np.array(_dd_cmul(rows, Y))
+
+
+def _dd_total(z):
+    """The exact sum of the complex double-doubles z, rounded to complex."""
+    return complex(math.fsum(np.concatenate(z[:2]).tolist()),
+                   math.fsum(np.concatenate(z[2:]).tolist()))
+
+
+def _direct_sum_dd(N, p):
+    """The bare direct sum in double-double arithmetic.
+
+    The rows of _direct_rows_dd, built on the order's first round, are
+    multiplied by the framing's phases zeta^{p n^2} in double-double and
+    the parts of the N products summed exactly: O(N) per framing.
+    """
+    *_, zeta = _dd_tables(N)
+    rows = _direct_rows_dd(N)
+    phase = _dd_phases(zeta, N, p)
+    return _dd_total((*_dd_mul(rows, phase[:2]), *_dd_mul(rows, phase[2:])))
 
 
 def _double_sum_dd(N, p):
-    """The bare double sum in double-double arithmetic.
-
-    Term (n, m) of _double_sum is A_{n+m} B_{n-m-1} * Y_n zeta^{p n^2} in
-    the tables of _dd_tables.
-    """
-    *_, A, B, Y, zeta = _dd_tables(N)
-    coef = np.array(_dd_cmul(Y, _dd_phases(zeta, N, p)))
-    return complex(*_triangle_sum(N, lambda n, m: _dd_cmul(
-        _dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]), 2))
+    """The bare double sum in double-double arithmetic, as _direct_sum_dd
+    from the complex rows of _double_rows_dd."""
+    *_, zeta = _dd_tables(N)
+    return _dd_total(_dd_cmul(_double_rows_dd(N), _dd_phases(zeta, N, p)))
 
 
 def _hi(z):
@@ -548,7 +656,7 @@ def _f64_triangle_sum(N, term):
         return t.real, t.imag, np.abs(t)
 
     try:
-        re, im, abs_sum = _triangle_sum(N, parts, 1)
+        re, im, abs_sum = _triangle_sum(N, parts)
     except (ValueError, OverflowError):
         return complex(math.nan, math.nan), math.inf
     return complex(re, im), abs_sum

@@ -12,6 +12,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from olim41 import _kernels, cli
@@ -238,11 +239,15 @@ class TestDoubleDoubleRound:
     def test_row_blocks_keep_the_precision(self, monkeypatch):
         # Past _DD_BLOCK terms (N above about 510) the triangle is summed in
         # row blocks; blocks of about 64 terms must match the single block,
-        # in the double-double round and in the f64 pass.
+        # in the double-double round and in the f64 pass. The round's rows
+        # are cached per order, so their uncached builders stand in for
+        # them here and build the rows in blocks.
         routes = {qi._direct_sum_dd: qi._direct_sum_f64,
                   qi._double_sum_dd: qi._double_sum_f64}
         whole = {fn: fn(40, 6) for route in routes.items() for fn in route}
         monkeypatch.setattr(qi, "_DD_BLOCK", 64)
+        for name in ("_direct_rows_dd", "_double_rows_dd"):
+            monkeypatch.setattr(qi, name, getattr(qi, name).__wrapped__)
         for dd, f64 in routes.items():
             value, abs_sum = whole[f64]
             noise = abs_sum * qi._NOISE_PER_UNIT
@@ -454,15 +459,19 @@ class TestFiniteFieldImage:
             assert qi._double_sum_mod(5, 1, ell, r) != 0
 
     def test_field_tables_built_once_per_field(self):
-        # the three zeros at N = 37 over both routes ask 12 times for the
-        # tables of the two fields; the sum loops leave the cached lists as
-        # built
+        # the three zeros at N = 37 over both routes take 12 images, each
+        # reading its field's tables for the phases, and build each (field,
+        # route) row list once, on a read of the tables: 16 reads, 2 builds;
+        # the sum loops leave the cached lists as built
         qi._field_tables.cache_clear()
+        qi._field_rows.cache_clear()
         ctx = RootOfUnityContext(37)
         for p in (2, 6, 10):
             assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
         info = qi._field_tables.cache_info()
-        assert (info.misses, info.hits) == (2, 10)
+        assert (info.misses, info.hits) == (2, 14)
+        info = qi._field_rows.cache_info()
+        assert (info.misses, info.hits) == (4, 8)
         for ell, r in qi._certificate_fields(37):
             assert qi._field_tables(37, ell, r) == \
                 qi._field_tables.__wrapped__(37, ell, r)
@@ -589,6 +598,113 @@ class TestOneElementOfZZeta:
             with qi._MP_LOCK, mp.workdps(50):
                 _, _, y = qi._mp_tables(N, 50)
                 assert abs(mp.fprod(y[1:]) - N) < 1e-45 * N
+
+
+def loop_direct_sum(N, p, t, zeta, reduce):
+    """The direct sum as one loop, each row times its phase as it ends."""
+    total = 0
+    for n in range(1, N):
+        prod = jsum = 1
+        for l in range(1, n):
+            prod = reduce(-prod * t[n + l] * t[n - l])
+            jsum += prod
+        total += reduce(t[n] * t[n] * jsum) * zeta[(p * n * n) % (4 * N)]
+    return reduce(total)
+
+
+def loop_double_sum(N, p, y, zeta, reduce):
+    """The double sum as one loop, each term with its full phase."""
+    total = 0
+    for n in range(1, N):
+        ratio = 1
+        for m in range(min(n, N - n)):
+            ratio = reduce(ratio * y[n + m] * y[n - m])
+            total += ratio * zeta[(p * n * n - 4 * n * m - 4 * n) % (4 * N)]
+    return reduce(total)
+
+
+def triangle_sum_dd(terms):
+    """Exact sums of the parts of every term of the whole triangle at once."""
+    return complex(math.fsum(np.concatenate(terms[:2]).tolist()),
+                   math.fsum(np.concatenate(terms[2:]).tolist()))
+
+
+def triangle_indices(N):
+    rows = np.arange(1, N)
+    counts = np.minimum(rows, N - rows)
+    return (np.repeat(rows, counts),
+            np.concatenate([np.arange(count) for count in counts]))
+
+
+def triangle_direct_sum_dd(N, p):
+    """The direct double-double round with each term multiplied out by its
+    framing's phase over the whole triangle."""
+    S, S_inv, c, *_, zeta = qi._dd_tables(N)
+    phase = qi._dd_phases(zeta, N, p)
+    coef = np.array([*qi._dd_mul(c, phase[:2]), *qi._dd_mul(c, phase[2:])])
+    n, l = triangle_indices(N)
+    hi, lo = qi._dd_mul(S[:, n + l], S_inv[:, n - l - 1])
+    sign = 1.0 - 2.0 * (l & 1)
+    ratio = (sign * hi, sign * lo)
+    return triangle_sum_dd((*qi._dd_mul(ratio, coef[:2, n]),
+                            *qi._dd_mul(ratio, coef[2:, n])))
+
+
+def triangle_double_sum_dd(N, p):
+    """The double double-double round, multiplied out as the direct one."""
+    *_, A, B, Y, zeta = qi._dd_tables(N)
+    coef = np.array(qi._dd_cmul(Y, qi._dd_phases(zeta, N, p)))
+    n, m = triangle_indices(N)
+    return triangle_sum_dd(qi._dd_cmul(
+        qi._dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]))
+
+
+class TestRowsTimesPhases:
+    """Rows built once per order, times the framing's phases zeta^{p n^2},
+    against the single loops and the whole-triangle double-double sums."""
+
+    CASES = [(3, 1), (5, -3), (7, 4), (12, -7), (37, 2), (40, 9), (64, 10)]
+
+    def test_field_images_equal_the_loops(self):
+        for N, p in self.CASES:
+            for ell, r in qi._certificate_fields(N):
+                t, zeta, y = qi._field_tables(N, ell, r)
+
+                def mod(v):
+                    return v % ell
+
+                assert qi._direct_sum_mod(N, p, ell, r) == \
+                    loop_direct_sum(N, p, t, zeta, mod), (N, p)
+                assert qi._double_sum_mod(N, p, ell, r) == \
+                    loop_double_sum(N, p, y, zeta, mod), (N, p)
+
+    def test_replay_equals_the_loops(self):
+        # the direct loop already took each row once times its phase, so
+        # its arithmetic is unchanged; the double loop now multiplies each
+        # row by its phase once, which moves only the 50-digit rounding of
+        # terms that reach the summed magnitude abs_sum
+        for N, p in self.CASES:
+            _, abs_sum = qi._double_sum_f64(N, p)
+            with qi._MP_LOCK, mp.workdps(50):
+                t, zeta, y = qi._mp_tables(N, 50)
+                assert qi._direct_sum(N, p, t, zeta, unreduced) == \
+                    loop_direct_sum(N, p, t, zeta, unreduced), (N, p)
+                assert abs(qi._double_sum(N, p, y, zeta, unreduced)
+                           - loop_double_sum(N, p, y, zeta, unreduced)) \
+                    < 1e-45 * max(abs_sum, 1.0), (N, p)
+
+    def test_dd_rounds_equal_the_whole_triangle(self):
+        routes = [(qi._direct_sum_dd, triangle_direct_sum_dd,
+                   qi._direct_sum_f64),
+                  (qi._double_sum_dd, triangle_double_sum_dd,
+                   qi._double_sum_f64)]
+        for N in range(3, 97):
+            for p in (-40, -17, -6, -1, 0, 1, 2, 7, 23, 40):
+                for rows, whole, f64 in routes:
+                    _, abs_sum = f64(N, p)
+                    floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
+                    assert abs(rows(N, p) - whole(N, p)) <= floor, \
+                        (rows.__name__, N, p)
 
 
 class TestFormulaDiscrepancy:
