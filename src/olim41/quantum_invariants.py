@@ -6,29 +6,25 @@ the Pochhammer-ratio double sum with its prefactor P(N) carried in exact
 closed form. Fractional powers q^x mean exp(2*pi*i*x/N) throughout; both
 routes share that convention, which is what makes them agree to rounding.
 
-Each route is first summed in float64 (_direct_sum_f64, _double_sum_f64),
-which also reports the summed magnitude of its terms. The sum cancels
-severely (individual terms grow like exp(0.32*N) while tau_N stays
+Round 1 of each route (_direct_sum_f64, _double_sum_f64) is double-double
+arithmetic (about 31 digits; Dekker, Numer. Math. 18, 1971), and reports
+the summed magnitude abs_sum of the sum's terms with its value. The sum
+cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
 polynomially bounded; about 0.14*N + 4 digits are lost), so when the
-implied rounding noise abs_sum * 1e-15 exceeds a 1e-12 relative budget the
-sum is replayed. The first replay round is double-double (about 31 digits;
-Dekker, Numer. Math. 18, 1971). The f64 pass and that round compute the
-same terms: each is a fixed product of prefix tables (S_k = prod_{a<=k}
-t_a and (q)_k, with their inverses), and all parts of the terms are summed
-exactly by math.fsum. The tables are built once per N (_dd_tables) from
-the 40-digit mpmath tables of the replay (_mp_tables) and split into
-double-doubles. The f64 pass reads their hi rows and multiplies the whole
-triangle of terms out in plain float64 at every framing. The framing p
-enters either sum only through the phase zeta^{p n^2} of its row n, so the
-round sums each row exactly once per order, multiplying hi and lo parts
-with Dekker's TwoProd, and rounds it to a double-double
-(_direct_rows_dd, _double_rows_dd); a framing then costs one dot of the N
-rows with its phases. No term carries a product from the one before, so
-the f64 error does not grow with n: against a 60-digit replay over
-N = 3..64 and p = 1..4N it stays below abs_sum * 1.3e-16. The
-double-double noise floor is abs_sum * N * 2^-104, 33 times the largest
-error measured against a 60-digit replay over N = 3..96 at eleven framings
-in -40..40; at p = 6 it meets the budget up to N of about 120.
+round's noise floor exceeds a 1e-12 relative budget the sum is replayed.
+Each term is a fixed product of prefix tables (S_k = prod_{a<=k} t_a and
+(q)_k, with their inverses), built once per N (_dd_tables) from the
+40-digit mpmath tables of the replay (_mp_tables) and split into
+double-doubles. The framing p enters either sum only through the phase
+zeta^{p n^2} of its row n, so round 1 sums each row exactly once per
+order, multiplying hi and lo parts with Dekker's TwoProd, summing all
+parts with math.fsum and rounding it to a double-double (_direct_rows_dd,
+_double_rows_dd); abs_sum is summed there too, since |zeta^{p n^2}| = 1.
+A framing then costs one dot of the N rows with its phases. No term
+carries a product from the one before, so the error does not grow with n.
+The noise floor is abs_sum * N * 2^-104, 33 times the largest error
+measured against a 60-digit replay over N = 3..96 at eleven framings in
+-40..40; at p = 6 it meets the budget up to N of about 120.
 Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
 precision taken from the cancellation the previous round measured. A
 round whose result is itself rounding noise escalates again at twice its
@@ -49,8 +45,7 @@ zeta^j and y_k = 1 - q^k, which builds its framing-independent rows
 the certificate over their images in F_l (_field_tables), where it keeps
 the rows of each order and field (_field_rows), so a further framing costs
 O(N). The double sum steps its Pochhammer ratio by multiplying, so the
-replay divides nothing. The f64 pass and the double-double round are their
-own closed form (_direct_sum_dd, _double_sum_dd), tested against the
+replay divides nothing. Round 1 is its own closed form, tested against the
 mpmath replay of these loops.
 """
 
@@ -80,7 +75,6 @@ __all__ = [
     "formula_discrepancy",
 ]
 
-_NOISE_PER_UNIT = 1e-15    # f64 accumulation noise per unit of summed magnitude
 _RELATIVE_BUDGET = 1e-12   # relative accuracy target for the returned invariant
 _GUARD_DPS = 22
 _MAX_ESCALATIONS = 8
@@ -88,7 +82,7 @@ _CERTIFICATE_PRIME_FLOOR = 2 ** 61
 _CERTIFICATE_PRIMES = 2
 _DD_DPS = 40               # digits of the mpmath pass building the DD tables
 _DD_NOISE_PER_UNIT = 2.0 ** -104   # DD noise per unit of abs_sum and of N
-_DD_BLOCK = 1 << 16        # terms per vectorised block of the DD replay
+_DD_BLOCK = 1 << 16        # terms per vectorised block of the DD row build
 # mpmath precision state is process-global, and library callers may run
 # wrt_direct / wrt_double_sum from several threads; serialize the replays.
 _MP_LOCK = threading.Lock()
@@ -169,11 +163,11 @@ def _prefactor(ctx, p):
     )
 
 
-def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
-    """Resolve the cancellation in (value, abs_sum) to the relative budget.
+def _escalated(value, abs_sum, N, p, replay, image):
+    """Resolve the cancellation in round 1's (value, abs_sum) to the
+    relative budget.
 
-    value starts as the f64 result, whose noise floor is abs_sum * 1e-15.
-    The first replay round is dd_replay(N, p), in double-double with floor
+    value starts as the double-double round, with noise floor
     abs_sum * N * 2^-104. If it misses the budget, _certified_zero(image,
     N, p) is asked whether the sum is exactly zero, and if so 0j is
     returned. Up to _MAX_ESCALATIONS rounds of replay(N, p, dps) under
@@ -182,15 +176,13 @@ def _escalated(value, abs_sum, N, p, dd_replay, replay, image):
     current floor, plus _GUARD_DPS. After a round whose value lies within
     its own floor, and so resolved no digit, it takes at least twice that
     round's digits; the guard alone would add only 22 digits a round.
-    errors: DomainError when the f64 pass is not finite (it overflows past
-    N of about 2000); PrecisionExhaustedError when the last mpmath round
-    still misses the budget.
+    errors: DomainError when round 1 is not finite (its row build
+    overflows from N of about 2150); PrecisionExhaustedError when the last
+    mpmath round still misses the budget.
     """
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
-        raise DomainError(f"tau_{N}(M_{p}): the f64 sum overflowed at N = {N}")
-    if abs_sum * _NOISE_PER_UNIT <= _RELATIVE_BUDGET * abs(value):
-        return value
-    value = dd_replay(N, p)
+        raise DomainError(
+            f"tau_{N}(M_{p}): the double-double row build overflowed at N = {N}")
     noise = abs_sum * N * _DD_NOISE_PER_UNIT
     dps = 0
     for rounds in range(_MAX_ESCALATIONS + 1):
@@ -502,41 +494,25 @@ def _triangle_blocks(N):
         yield count, n, np.arange(len(n)) - starts
 
 
-def _triangle_sum(N, terms):
-    """Exact sums of the float64 arrays terms(n, l) over the triangle,
-    where no sum vanishes exactly.
-
-    terms takes the index arrays of _triangle_blocks; the result lists, per
-    array, math.fsum of its entries, the correctly rounded exact sum. Past
-    one block each block keeps its rounded sum and the rounded exact
-    remainder, within 2^-106 of the block's sum.
-    """
-    blocked = N * N // 4 > _DD_BLOCK    # the triangle holds N^2 // 4 terms
-    partials = {}
-    for _, n, l in _triangle_blocks(N):
-        for k, array in enumerate(terms(n, l)):
-            partial = partials.setdefault(k, [])
-            parts = array.tolist()
-            partial.append(math.fsum(parts))
-            if blocked:
-                parts.append(-partial[-1])
-                partial.append(math.fsum(parts))
-    return [math.fsum(partial) for partial in partials.values()]
-
-
 def _triangle_rows(N, terms):
     """Exact row sums of the double-double arrays terms(n, l), as a
-    (len(terms), N) array of double-doubles whose column 0 is zero.
+    (len(terms), N) array of double-doubles whose column 0 is zero, and
+    the sum of the terms' moduli in each row, as an array of N whose
+    entry 0 is zero.
 
     terms takes the index arrays of _triangle_blocks and returns (hi, lo)
-    pairs of arrays. For each pair, column n holds hi = math.fsum of the hi
-    and lo parts of every term of row n and lo = math.fsum of the rest, so
-    the row is within 2^-106 of its exact sum. A row never spans two
-    blocks.
+    pairs of arrays, one pair for a real term and (re, im) for a complex
+    one. For each pair, column n holds hi = math.fsum of the hi and lo
+    parts of every term of row n and lo = math.fsum of the rest, so the
+    row is within 2^-106 of its exact sum. A term's modulus is taken from
+    its hi parts. A row never spans two blocks.
     """
-    sums = []
+    sums, moduli = [], [0.0]
     for counts, n, l in _triangle_blocks(N):
-        arrays = [array.tolist() for array in terms(n, l)]
+        block = terms(n, l)
+        modulus = np.hypot.reduce(np.abs(block[::2]), axis=0)
+        moduli += np.add.reduceat(modulus, np.cumsum(counts) - counts).tolist()
+        arrays = [array.tolist() for array in block]
         end = 0
         for count in counts.tolist():
             start, end = end, end + count
@@ -547,7 +523,7 @@ def _triangle_rows(N, terms):
                 parts.append(-row[-1])
                 row.append(math.fsum(parts))
             sums.append(row)
-    return np.array([[0.0] * len(sums[0]), *sums]).T
+    return np.array([[0.0] * len(sums[0]), *sums]).T, np.array(moduli)
 
 
 @lru_cache(maxsize=8)
@@ -560,11 +536,9 @@ def _dd_tables(N):
     zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
     zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n}.
     Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
-    None depends on the framing: the double-double round builds its rows
-    from them once per order (_direct_rows_dd, _double_rows_dd) and takes
-    only the phases zeta^{p n^2} per framing. The f64 pass reads their hi
-    rows (row 0 of a real table, rows 0 and 2, re_hi and im_hi, of a
-    complex one) and multiplies its whole triangle out at every framing.
+    None depends on the framing: round 1 builds its rows from them once
+    per order (_direct_rows_dd, _double_rows_dd) and takes only the phases
+    zeta^{p n^2} per framing.
     """
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
@@ -587,11 +561,14 @@ def _dd_tables(N):
 @lru_cache(maxsize=8)
 def _direct_rows_dd(N):
     """The rows c_n sum_l (-1)^l S_{n+l} / S_{n-l-1} of the bare direct sum
-    as a (2, N) array of double-doubles, built once per order.
+    as a (2, N) array of double-doubles, and abs_sum, the summed moduli of
+    the sum's terms; both built once per order.
 
     Term (n, l) of the inner sum is a fixed product of _dd_tables entries,
     so no product is carried from step to step; the exact row sum is then
-    multiplied by c_n = t_n / t_1^2.
+    multiplied by c_n = t_n / t_1^2. A term of the sum is a row's term
+    times c_n zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum does not
+    depend on the framing.
     """
     S, S_inv, c, *_ = _dd_tables(N)
 
@@ -600,18 +577,22 @@ def _direct_rows_dd(N):
         sign = 1.0 - 2.0 * (l & 1)
         return sign * hi, sign * lo
 
-    return np.array(_dd_mul(_triangle_rows(N, terms), c))
+    rows, moduli = _triangle_rows(N, terms)
+    return (np.array(_dd_mul(rows, c)),
+            math.fsum((moduli * np.abs(c[0])).tolist()))
 
 
 @lru_cache(maxsize=8)
 def _double_rows_dd(N):
     """The rows Y_n sum_m A_{n+m} B_{n-m-1} of the bare double sum as a
-    (4, N) array of complex double-doubles, built once per order from the
-    tables of _dd_tables."""
+    (4, N) array of complex double-doubles, and abs_sum, as
+    _direct_rows_dd, built once per order from the tables of
+    _dd_tables."""
     *_, A, B, Y, _ = _dd_tables(N)
-    rows = _triangle_rows(
+    rows, moduli = _triangle_rows(
         N, lambda n, m: _dd_cmul(A[:, n + m], B[:, n - m - 1]))
-    return np.array(_dd_cmul(rows, Y))
+    return (np.array(_dd_cmul(rows, Y)),
+            math.fsum((moduli * np.hypot(Y[0], Y[2])).tolist()))
 
 
 def _dd_total(z):
@@ -620,64 +601,37 @@ def _dd_total(z):
                    math.fsum(np.concatenate(z[2:]).tolist()))
 
 
-def _direct_sum_dd(N, p):
-    """The bare direct sum in double-double arithmetic.
-
-    The rows of _direct_rows_dd, built on the order's first round, are
-    multiplied by the framing's phases zeta^{p n^2} in double-double and
-    the parts of the N products summed exactly: O(N) per framing.
-    """
-    *_, zeta = _dd_tables(N)
-    rows = _direct_rows_dd(N)
-    phase = _dd_phases(zeta, N, p)
-    return _dd_total((*_dd_mul(rows, phase[:2]), *_dd_mul(rows, phase[2:])))
-
-
-def _double_sum_dd(N, p):
-    """The bare double sum in double-double arithmetic, as _direct_sum_dd
-    from the complex rows of _double_rows_dd."""
-    *_, zeta = _dd_tables(N)
-    return _dd_total(_dd_cmul(_double_rows_dd(N), _dd_phases(zeta, N, p)))
-
-
-def _hi(z):
-    """The hi parts of the complex double-doubles z as complex128."""
-    return z[0] + 1j * z[2]
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _f64_triangle_sum(N, term):
-    """(sum, sum of moduli) of the complex128 terms term(n, l), both
-    summed exactly by _triangle_sum. Past N of about 2000 the terms
-    overflow, math.fsum raises, and (nan, inf) is returned.
+def _round_one(N, p, rows_dd, times):
+    """(value, abs_sum) of the bare sum whose rows and abs_sum rows_dd(N)
+    builds: the exact sum of times(rows, phases), the rows times the
+    framing's phases zeta^{p n^2} in double-double, O(N) per framing.
+    From N of about 2150 the row build overflows and the result is not
+    finite: (nan, inf) where math.fsum raises on the overflowed terms.
     """
-    def parts(n, l):
-        t = term(n, l)
-        return t.real, t.imag, np.abs(t)
-
     try:
-        re, im, abs_sum = _triangle_sum(N, parts)
+        rows, abs_sum = rows_dd(N)
+        *_, zeta = _dd_tables(N)
+        return _dd_total(times(rows, _dd_phases(zeta, N, p))), abs_sum
     except (ValueError, OverflowError):
         return complex(math.nan, math.nan), math.inf
-    return complex(re, im), abs_sum
 
 
 def _direct_sum_f64(N, p):
-    """The terms of _direct_sum_dd in float64 from the hi rows of its
-    tables, summed as _f64_triangle_sum; each is the same fixed product,
-    so its error does not grow with n."""
-    S, S_inv, c, *_, zeta = _dd_tables(N)
-    coef = c[0] * _hi(_dd_phases(zeta, N, p))
-    return _f64_triangle_sum(N, lambda n, l: (
-        (1.0 - 2.0 * (l & 1)) * S[0, n + l] * S_inv[0, n - l - 1] * coef[n]))
+    """Round 1 of the bare direct sum, from the rows of _direct_rows_dd.
+
+    The name is that of the float64 pass this round replaced:
+    bench/tracing.py wraps it, and _double_sum_f64, as its kernels
+    boundary.
+    """
+    return _round_one(N, p, _direct_rows_dd, lambda rows, phase: (
+        *_dd_mul(rows, phase[:2]), *_dd_mul(rows, phase[2:])))
 
 
 def _double_sum_f64(N, p):
-    """The terms of _double_sum_dd in float64 from the hi rows of its
-    tables, summed as _f64_triangle_sum."""
-    *_, A, B, Y, zeta = _dd_tables(N)
-    A, B, coef = _hi(A), _hi(B), _hi(Y) * _hi(_dd_phases(zeta, N, p))
-    return _f64_triangle_sum(N, lambda n, m: A[n + m] * B[n - m - 1] * coef[n])
+    """Round 1 of the bare double sum, from the complex rows of
+    _double_rows_dd."""
+    return _round_one(N, p, _double_rows_dd, _dd_cmul)
 
 
 def _direct_sum_mp(N, p, dps):
@@ -708,7 +662,7 @@ def wrt_direct(ctx, p):
         )
     value, abs_sum = _direct_sum_f64(ctx.N, p)
     value = _escalated(value, abs_sum, ctx.N, p,
-                       _direct_sum_dd, _direct_sum_mp, _direct_sum_mod)
+                       _direct_sum_mp, _direct_sum_mod)
     if not value:
         return 0j
     return _prefactor(ctx, p) * value
@@ -732,7 +686,7 @@ def wrt_double_sum(ctx, p):
     p = checked_framing(p)
     value, abs_sum = _double_sum_f64(ctx.N, p)
     value = _escalated(value, abs_sum, ctx.N, p,
-                       _double_sum_dd, _double_sum_mp, _double_sum_mod)
+                       _double_sum_mp, _double_sum_mod)
     if not value:
         return 0j
     denom = (ctx.q_power(0.5) - ctx.q_power(-0.5)) ** 2

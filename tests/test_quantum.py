@@ -197,8 +197,8 @@ class TestWrt:
                     assert formula_discrepancy(value, expected) < 1e-12, (p0, k)
 
     def test_escalated_region_still_agrees(self):
-        # N past ~52 has enough cancellation that the f64 pass misses the
-        # budget and the double-double round resolves the sum
+        # N past ~52 has enough cancellation that a float64 sum would miss
+        # the budget; the double-double round resolves the sum
         ctx = RootOfUnityContext(60)
         d = formula_discrepancy(wrt_direct(ctx, 6), wrt_double_sum(ctx, 6))
         assert d < 1e-9
@@ -229,8 +229,8 @@ class TestWrt:
             calls.append(dps)
             return 1.0 if dps >= 212 else abs_sum * 10.0 ** -dps / 2
 
-        value = qi._escalated(1e187 + 0j, abs_sum, 1400, 6, lambda N, p: 0j,
-                              replay, lambda N, p, ell, r: 1)
+        value = qi._escalated(0j, abs_sum, 1400, 6, replay,
+                              lambda N, p, ell, r: 1)
         assert value == 1.0
         assert len(calls) <= 5, calls
 
@@ -239,21 +239,20 @@ class TestDoubleDoubleRound:
     def test_row_blocks_keep_the_precision(self, monkeypatch):
         # Past _DD_BLOCK terms (N above about 510) the triangle is summed in
         # row blocks; blocks of about 64 terms must match the single block,
-        # in the double-double round and in the f64 pass. The round's rows
-        # are cached per order, so their uncached builders stand in for
-        # them here and build the rows in blocks.
-        routes = {qi._direct_sum_dd: qi._direct_sum_f64,
-                  qi._double_sum_dd: qi._double_sum_f64}
-        whole = {fn: fn(40, 6) for route in routes.items() for fn in route}
+        # in round 1's value and in its abs_sum. The rows are cached per
+        # order, so their uncached builders stand in for them here and
+        # build the rows in blocks.
+        routes = (qi._direct_sum_f64, qi._double_sum_f64)
+        whole = {fn: fn(40, 6) for fn in routes}
         monkeypatch.setattr(qi, "_DD_BLOCK", 64)
         for name in ("_direct_rows_dd", "_double_rows_dd"):
             monkeypatch.setattr(qi, name, getattr(qi, name).__wrapped__)
-        for dd, f64 in routes.items():
-            value, abs_sum = whole[f64]
-            noise = abs_sum * qi._NOISE_PER_UNIT
-            assert abs(f64(40, 6)[0] - value) <= noise, f64.__name__
+        for fn in routes:
+            value, abs_sum = whole[fn]
+            blocked, blocked_abs_sum = fn(40, 6)
+            assert blocked_abs_sum == abs_sum, fn.__name__
             floor = abs_sum * 40 * qi._DD_NOISE_PER_UNIT
-            assert abs(dd(40, 6) - whole[dd]) <= floor, dd.__name__
+            assert abs(blocked - value) <= floor, fn.__name__
 
 
 def _split_bits(pairs):
@@ -360,7 +359,7 @@ class TestZetaTable:
 
 
 class TestF64Pass:
-    # At N = 22 the f64 pass alone resolves these framings. A direct sum
+    # At N = 22 a float64 pass alone resolved these framings. A direct sum
     # that carries its colored Jones product from term to term returned
     # them 1.06e-12 to 1.48e-12 off, outside the budget.
     @pytest.mark.parametrize("p", [22, 33, 42, 44, 46, 55, 66])
@@ -398,8 +397,10 @@ class TestCertifiedZeros:
     def test_round_cap_raises(self, monkeypatch, capsys):
         # A replay that only ever returns 0 never meets the budget; the
         # sum at (60, 6) is nonzero, so the certificate cannot end it.
-        monkeypatch.setattr(qi, "_direct_sum_dd", lambda N, p: 0j)
-        monkeypatch.setattr(qi, "_double_sum_dd", lambda N, p: 0j)
+        for name in ("_direct_sum_f64", "_double_sum_f64"):
+            round_one = getattr(qi, name)
+            monkeypatch.setattr(qi, name, lambda N, p, round_one=round_one:
+                                (0j, round_one(N, p)[1]))
         monkeypatch.setattr(qi, "_direct_sum_mp", lambda N, p, dps: 0j)
         monkeypatch.setattr(qi, "_double_sum_mp", lambda N, p, dps: 0j)
         ctx = RootOfUnityContext(60)
@@ -416,7 +417,7 @@ class TestCertifiedZeros:
 
 
     def test_overflowed_f64_pass_raises(self, monkeypatch, capsys):
-        # The f64 pass overflows between N = 2000 and 2300.
+        # Round 1's row build overflows between N = 2000 and 2300.
         overflow = lambda N, p: (complex(math.nan, math.nan), math.inf)
         monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
         monkeypatch.setattr(qi, "_double_sum_f64", overflow)
@@ -624,9 +625,11 @@ def loop_double_sum(N, p, y, zeta, reduce):
 
 
 def triangle_sum_dd(terms):
-    """Exact sums of the parts of every term of the whole triangle at once."""
-    return complex(math.fsum(np.concatenate(terms[:2]).tolist()),
-                   math.fsum(np.concatenate(terms[2:]).tolist()))
+    """Exact sums of the parts of every term of the whole triangle at once,
+    and the sum of the terms' moduli."""
+    return (complex(math.fsum(np.concatenate(terms[:2]).tolist()),
+                    math.fsum(np.concatenate(terms[2:]).tolist())),
+            math.fsum(np.hypot(terms[0], terms[2]).tolist()))
 
 
 def triangle_indices(N):
@@ -694,17 +697,20 @@ class TestRowsTimesPhases:
                     < 1e-45 * max(abs_sum, 1.0), (N, p)
 
     def test_dd_rounds_equal_the_whole_triangle(self):
-        routes = [(qi._direct_sum_dd, triangle_direct_sum_dd,
-                   qi._direct_sum_f64),
-                  (qi._double_sum_dd, triangle_double_sum_dd,
-                   qi._double_sum_f64)]
+        # abs_sum is summed once per order, without the framing's phases
+        # of modulus 1, so it matches each framing's terms to rounding
+        routes = [(qi._direct_sum_f64, triangle_direct_sum_dd),
+                  (qi._double_sum_f64, triangle_double_sum_dd)]
         for N in range(3, 97):
             for p in (-40, -17, -6, -1, 0, 1, 2, 7, 23, 40):
-                for rows, whole, f64 in routes:
-                    _, abs_sum = f64(N, p)
+                for rows, whole in routes:
+                    value, abs_sum = rows(N, p)
+                    whole_value, whole_abs_sum = whole(N, p)
                     floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
-                    assert abs(rows(N, p) - whole(N, p)) <= floor, \
+                    assert abs(value - whole_value) <= floor, \
                         (rows.__name__, N, p)
+                    assert abs(abs_sum - whole_abs_sum) \
+                        <= 1e-14 * whole_abs_sum, (rows.__name__, N, p)
 
 
 class TestFormulaDiscrepancy:
