@@ -15,12 +15,19 @@ round's noise floor exceeds a 1e-12 relative budget the sum is replayed.
 Each term is a fixed product of prefix tables (S_k = prod_{a<=k} t_a and
 (q)_k, with their inverses), built once per N (_dd_tables) from the
 40-digit mpmath tables of the replay (_mp_tables) and split into
-double-doubles. The framing p enters either sum only through the phase
-zeta^{p n^2} of its row n, so round 1 sums each row exactly once per
-order, multiplying hi and lo parts with Dekker's TwoProd, summing all
-parts with math.fsum and rounding it to a double-double (_direct_rows_dd,
-_double_rows_dd); abs_sum is summed there too, since |zeta^{p n^2}| = 1.
-A framing then costs one dot of the N rows with its phases. No term
+double-doubles. Both table builds compute only what the symmetries of
+zeta^j leave: _mp_tables computes zeta^j, t_a and y_k for indices up to
+N/2 and fills the rest by exact part swaps, negations and conjugations,
+and _dd_tables splits only zeta^j for j < N, fills the other three
+quarters by the exact rotation zeta^{j+N} = i zeta^j, and takes
+Y_k = y_k zeta^{-4k} as zeta^{-4k} - 1. The framing p enters either sum
+only through the phase zeta^{p n^2} of its row n, so round 1 sums each
+row exactly once per order, multiplying hi and lo parts with Dekker's
+TwoProd, summing all parts with math.fsum and rounding it to a
+double-double (_direct_rows_dd, _double_rows_dd); abs_sum is summed there
+too, since |zeta^{p n^2}| = 1. A framing then costs one dot of the N rows
+with its phases; a complex product, in the rows and in the dot, is one
+stacked TwoProd of the (re, im) parts (_dd_cmul). No term
 carries a product from the one before, so the error does not grow with n.
 The noise floor is abs_sum * N * 2^-104, 33 times the largest error
 measured against a 60-digit replay over N = 3..96 at eleven framings in
@@ -266,8 +273,8 @@ def _double_sum(N, p, y, zeta, reduce):
 
 
 def _is_prime(n):
-    """Miller-Rabin with the first twelve prime bases, exact for n < 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Miller-Rabin with the first thirteen prime bases, exact for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
     for b in bases:
@@ -295,12 +302,15 @@ def _certificate_fields(N):
 
     l runs over the first _CERTIFICATE_PRIMES primes above 2^61 with
     l = 1 (mod 4N), and r is the first power g^((l-1)/(4N)), g = 2, 3, ...,
-    of multiplicative order exactly 4N mod l. zeta = exp(pi*i/(2N)) -> r
-    then extends to a ring map Z[zeta] -> F_l. The choice is deterministic,
-    so certified results are reproducible.
+    of multiplicative order exactly 4N mod l. r^{4N} = g^{l-1} = 1, so the
+    order is 4N unless r^{4N/q} = 1 for a prime q dividing 4N; only those
+    powers are tested. zeta = exp(pi*i/(2N)) -> r then extends to a ring
+    map Z[zeta] -> F_l. The choice is deterministic, so certified results
+    are reproducible.
     """
     order = 4 * N
-    divisors = [d for d in range(1, order) if order % d == 0]
+    cofactors = [order // q for q in range(2, order + 1)
+                 if order % q == 0 and _is_prime(q)]
     fields = []
     ell = (_CERTIFICATE_PRIME_FLOOR // order + 1) * order + 1
     while len(fields) < _CERTIFICATE_PRIMES:
@@ -308,7 +318,7 @@ def _certificate_fields(N):
             g = 2
             while True:
                 r = pow(g, (ell - 1) // order, ell)
-                if all(pow(r, d, ell) != 1 for d in divisors):
+                if all(pow(r, d, ell) != 1 for d in cofactors):
                     break
                 g += 1
             fields.append((ell, r))
@@ -319,9 +329,12 @@ def _certificate_fields(N):
 @lru_cache(maxsize=8)
 def _field_tables(N, ell, r):
     """The replay's three tables in F_ell under zeta -> r, i = zeta^N -> r^N;
-    t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}."""
+    t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}.
+    zeta^j = r^j is built as a running product."""
     order = 4 * N
-    zeta = [pow(r, j, ell) for j in range(order)]
+    zeta = [1]
+    for _ in range(order - 1):
+        zeta.append(zeta[-1] * r % ell)
     t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
          for a in range(2 * N)]
     y = [(1 - zeta[4 * k]) % ell for k in range(N)]
@@ -379,16 +392,25 @@ def _mp_tables(N, dps):
     double sum divides nothing. _dd_tables builds the double-double tables
     from them at _DD_DPS digits. Only zeta^j for 0 <= j <= N/2 calls
     mp.expjpi; the rest of the table is exact part swaps and negations of
-    those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j.
+    those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
+    made from their part tuples. Likewise only t_a and y_k for a, k <= N/2
+    are computed; the rest are the exact copies t_{N-a} = t_a,
+    t_{N+a} = -t_a and y_{N-k} = conj(y_k) that the filled zeta^j give.
     Call while holding _MP_LOCK.
     """
+    half = N // 2
     with mp.workdps(dps):
-        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(N // 2 + 1)]
-        zeta += [mp.mpc(z.imag, z.real) for z in zeta[(N - 1) // 2:0:-1]]
+        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(half + 1)]
+        parts = [z._mpc_ for z in zeta]
+        parts += [(im, re) for re, im in parts[(N - 1) // 2:0:-1]]
         for _ in range(3):
-            zeta += [mp.mpc(-z.imag, z.real) for z in zeta[-N:]]
-        t = [2 * zeta[2 * a].imag for a in range(2 * N)]
-        y = [1 - zeta[4 * k] for k in range(N)]
+            parts += [(mp.libmp.mpf_neg(im), re) for re, im in parts[-N:]]
+        zeta += [mp.mp.make_mpc(z) for z in parts[half + 1:]]
+        t = [2 * zeta[2 * a].imag for a in range(half + 1)]
+        t += t[(N - 1) // 2:0:-1]
+        t += [-v for v in t]
+        y = [1 - zeta[4 * k] for k in range(half + 1)]
+        y += [v.conjugate() for v in y[(N - 1) // 2:0:-1]]
     return t, zeta, y
 
 
@@ -427,12 +449,20 @@ def _dd_add(a, b):
 
 def _dd_cmul(a, b):
     """Product of complex double-doubles a = (re_hi, re_lo, im_hi, im_lo)
-    and b, as the same four arrays."""
-    rr = _dd_mul(a[:2], b[:2])
-    ii = _dd_mul(a[2:], b[2:])
-    ri = _dd_mul(a[:2], b[2:])
-    ir = _dd_mul(a[2:], b[:2])
-    return (*_dd_add(rr, (-ii[0], -ii[1])), *_dd_add(ri, ir))
+    and b, as the same four arrays.
+
+    The four real products are one _dd_mul: the (re, im) parts of a, on
+    the first axis, times those of b on the next, which gives
+    [[rr, ri], [ir, ii]]. One _dd_add of the stacked pairs (rr, ri) and
+    (-ii, ir) then gives the real and imaginary parts. Each entry is the
+    same arithmetic as four separate products and two sums.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    hi, lo = _dd_mul((a[::2, None], a[1::2, None]), (b[::2], b[1::2]))
+    for part in (hi, lo):
+        np.negative(part[1, 1], out=part[1, 1])
+    hi, lo = _dd_add((hi[0], lo[0]), (hi[1, ::-1], lo[1, ::-1]))
+    return hi[0], lo[0], hi[1], lo[1]
 
 
 def _dd_split(values):
@@ -534,8 +564,12 @@ def _dd_tables(N):
     The direct sum reads S_k = prod_{a=1}^{k} t_a, 1/S_k and c_k = t_k / t_1^2.
     In the double sum, with i = n + m and j = n - m - 1, zeta^{-4nm} =
     zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
-    zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n}.
+    zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n},
+    taken as zeta^{-4n} - 1, one subtraction.
     Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
+    Only zeta^j for j < N is split; the other three quarters are the exact
+    fill zeta^{j+N} = i zeta^j of the split parts, with 0.0 - v for the
+    negated parts so that no -0.0 appears, as the split gives none.
     None depends on the framing: round 1 builds its rows from them once
     per order (_direct_rows_dd, _double_rows_dd) and takes only the phases
     zeta^{p n^2} per framing.
@@ -543,19 +577,24 @@ def _dd_tables(N):
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
         t, zeta, y = _mp_tables(N, _DD_DPS)
+        t1_squared = t[1] * t[1]
         prefix, poch = [mp.mpf(1)], [mp.mpc(1)]
         for k in range(1, N):
             prefix.append(prefix[-1] * t[k])
             poch.append(poch[-1] * y[k])
+        quarters = [_dd_split_complex(zeta[:N])]
+        for _ in range(3):
+            re_hi, re_lo, im_hi, im_lo = quarters[-1]
+            quarters.append(np.array([0.0 - im_hi, 0.0 - im_lo, re_hi, re_lo]))
         return (_dd_split(prefix), _dd_split([1 / v for v in prefix]),
-                _dd_split([v / (t[1] * t[1]) for v in t[:N]]),
+                _dd_split([v / t1_squared for v in t[:N]]),
                 _dd_split_complex([poch[i] * zeta[-i * i % order]
                                    for i in range(N)]),
                 _dd_split_complex([zeta[(j + 1) ** 2 % order] / poch[j]
                                    for j in range(N)]),
-                _dd_split_complex([y[k] * zeta[-4 * k % order]
+                _dd_split_complex([zeta[-4 * k % order] - 1
                                    for k in range(N)]),
-                _dd_split_complex(zeta))
+                np.concatenate(quarters, axis=1))
 
 
 @lru_cache(maxsize=8)
@@ -624,8 +663,12 @@ def _direct_sum_f64(N, p):
     bench/tracing.py wraps it, and _double_sum_f64, as its kernels
     boundary.
     """
-    return _round_one(N, p, _direct_rows_dd, lambda rows, phase: (
-        *_dd_mul(rows, phase[:2]), *_dd_mul(rows, phase[2:])))
+    def times(rows, phase):
+        # the real rows times the (re, im) parts of the phases, one product
+        hi, lo = _dd_mul(rows, (phase[::2], phase[1::2]))
+        return hi[0], lo[0], hi[1], lo[1]
+
+    return _round_one(N, p, _direct_rows_dd, times)
 
 
 def _double_sum_f64(N, p):

@@ -439,8 +439,11 @@ class TestFiniteFieldImage:
                  if all(n % d for d in range(2, int(n ** 0.5) + 1))]
         assert [n for n in range(2000) if qi._is_prime(n)] == sieve
         assert qi._is_prime(2 ** 61 - 1)
-        # strong pseudoprime to every prime base up to 23
+        # strong pseudoprime to every prime base up to 31
         assert not qi._is_prime(3825123056546413051)
+        # 399165290221 * 798330580441, a strong pseudoprime to every prime
+        # base up to 37: only base 41 rejects it
+        assert not qi._is_prime(318665857834031151167461)
 
     def test_fields_have_primitive_roots(self):
         for N in (3, 5, 12, 64):
@@ -711,6 +714,169 @@ class TestRowsTimesPhases:
                         (rows.__name__, N, p)
                     assert abs(abs_sum - whole_abs_sum) \
                         <= 1e-14 * whole_abs_sum, (rows.__name__, N, p)
+
+
+def full_mp_tables(N, dps):
+    """_mp_tables with t_a and y_k computed at every index and the filled
+    zeta^j made by mp.mpc from the parts of their source entries."""
+    with mp.workdps(dps):
+        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(N // 2 + 1)]
+        zeta += [mp.mpc(z.imag, z.real) for z in zeta[(N - 1) // 2:0:-1]]
+        for _ in range(3):
+            zeta += [mp.mpc(-z.imag, z.real) for z in zeta[-N:]]
+        t = [2 * zeta[2 * a].imag for a in range(2 * N)]
+        y = [1 - zeta[4 * k] for k in range(N)]
+    return t, zeta, y
+
+
+def full_dd_tables(N):
+    """_dd_tables from full_mp_tables, with t_1^2 formed per entry,
+    Y_k = y_k zeta^{-4k} as a product and the whole 4N zeta table split."""
+    order = 4 * N
+    with qi._MP_LOCK, mp.workdps(qi._DD_DPS):
+        t, zeta, y = full_mp_tables(N, qi._DD_DPS)
+        prefix, poch = [mp.mpf(1)], [mp.mpc(1)]
+        for k in range(1, N):
+            prefix.append(prefix[-1] * t[k])
+            poch.append(poch[-1] * y[k])
+        return (qi._dd_split(prefix), qi._dd_split([1 / v for v in prefix]),
+                qi._dd_split([v / (t[1] * t[1]) for v in t[:N]]),
+                qi._dd_split_complex([poch[i] * zeta[-i * i % order]
+                                      for i in range(N)]),
+                qi._dd_split_complex([zeta[(j + 1) ** 2 % order] / poch[j]
+                                      for j in range(N)]),
+                qi._dd_split_complex([y[k] * zeta[-4 * k % order]
+                                      for k in range(N)]),
+                qi._dd_split_complex(zeta))
+
+
+def all_divisor_fields(N):
+    """_certificate_fields testing r^d != 1 at every proper divisor d of 4N."""
+    order = 4 * N
+    divisors = [d for d in range(1, order) if order % d == 0]
+    fields = []
+    ell = (qi._CERTIFICATE_PRIME_FLOOR // order + 1) * order + 1
+    while len(fields) < qi._CERTIFICATE_PRIMES:
+        if qi._is_prime(ell):
+            g = 2
+            while True:
+                r = pow(g, (ell - 1) // order, ell)
+                if all(pow(r, d, ell) != 1 for d in divisors):
+                    break
+                g += 1
+            fields.append((ell, r))
+        ell += order
+    return tuple(fields)
+
+
+def pow_field_tables(N, ell, r):
+    """_field_tables with zeta^j = pow(r, j, ell) at every j."""
+    order = 4 * N
+    zeta = [pow(r, j, ell) for j in range(order)]
+    t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
+         for a in range(2 * N)]
+    y = [(1 - zeta[4 * k]) % ell for k in range(N)]
+    return t, zeta, y
+
+
+class TestTableBuilds:
+    """The per-order tables, built from their computed entries and exact
+    fills, equal the tables computed at every entry, bit for bit."""
+
+    @pytest.mark.parametrize("dps", [40, 51, 100])
+    def test_mp_tables(self, dps):
+        for N in [*range(3, 41), 64, 97, 150]:
+            with qi._MP_LOCK:
+                tables = qi._mp_tables.__wrapped__(N, dps)
+            for table, full in zip(tables, full_mp_tables(N, dps)):
+                assert repr(table) == repr(full), (N, dps)
+
+    def test_dd_tables(self):
+        # tobytes, so that the sign of every zero counts
+        for N in [*range(3, 201), 333, 520, 1000]:
+            tables = qi._dd_tables.__wrapped__(N)
+            full = full_dd_tables(N)
+            assert len(tables) == len(full) == 7
+            for k, (table, expected) in enumerate(zip(tables, full)):
+                assert table.shape == expected.shape, (N, k)
+                assert table.tobytes() == expected.tobytes(), (N, k)
+
+    def test_certificate_fields_and_tables(self):
+        for N in range(3, 201):
+            fields = qi._certificate_fields(N)
+            assert fields == all_divisor_fields(N), N
+            for ell, r in fields:
+                assert qi._field_tables.__wrapped__(N, ell, r) == \
+                    pow_field_tables(N, ell, r), N
+
+
+def unstacked_cmul(a, b):
+    """_dd_cmul as four _dd_mul calls and two _dd_add calls."""
+    rr = qi._dd_mul(a[:2], b[:2])
+    ii = qi._dd_mul(a[2:], b[2:])
+    ri = qi._dd_mul(a[:2], b[2:])
+    ir = qi._dd_mul(a[2:], b[:2])
+    return (*qi._dd_add(rr, (-ii[0], -ii[1])), *qi._dd_add(ri, ir))
+
+
+class TestStackedProducts:
+    """The stacked double-double products do the arithmetic of the
+    separate ones, entry for entry."""
+
+    @staticmethod
+    def random_dd(rng, shape):
+        hi = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+        return hi, hi * 2.0 ** -53 * rng.uniform(-1, 1, shape)
+
+    @pytest.mark.parametrize("shape", [(1,), (257,), (7, 33)])
+    def test_complex_product(self, shape):
+        rng = np.random.default_rng(17)
+        a = (*self.random_dd(rng, shape), *self.random_dd(rng, shape))
+        b = (*self.random_dd(rng, shape), *self.random_dd(rng, shape))
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-320]
+        for part in (*a, *b):
+            flat = part.reshape(-1)
+            picks = rng.integers(0, flat.size, flat.size // 3 + 1)
+            flat[picks] = rng.choice(special, picks.size)
+        with np.errstate(all="ignore"):
+            stacked = qi._dd_cmul(a, b)
+            expected = unstacked_cmul(a, b)
+            again = qi._dd_cmul(np.array(a), np.array(b))
+        for got, want, other in zip(stacked, expected, again):
+            assert got.shape == want.shape == shape
+            # equal values, nan lanes included, and the same sign of every
+            # zero and infinity; a nan's sign bit is not arithmetic
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got) | np.isnan(got),
+                                          np.signbit(want) | np.isnan(want))
+            np.testing.assert_array_equal(other, want)
+
+    @staticmethod
+    def unstacked_round_one(N, p, route, rows):
+        """(value, abs_sum) of round 1 from rows = (rows, abs_sum) built with
+        unstacked_cmul, with the direct dot as two real products and the
+        double dot by unstacked_cmul."""
+        rows, abs_sum = rows
+        *_, zeta = qi._dd_tables(N)
+        phase = qi._dd_phases(zeta, N, p)
+        if route == "direct":
+            times = (*qi._dd_mul(rows, phase[:2]), *qi._dd_mul(rows, phase[2:]))
+        else:
+            times = unstacked_cmul(rows, phase)
+        return qi._dd_total(times), abs_sum
+
+    @pytest.mark.parametrize("N", [*range(3, 97), 520])
+    def test_round_one(self, N, monkeypatch):
+        # at N = 520 the triangle's rows are built in two blocks
+        framings = range(-40, 41) if N < 97 else (-7, 6, 40)
+        for route in ("direct", "double"):
+            round_one = getattr(qi, f"_{route}_sum_f64")
+            with monkeypatch.context() as patch:
+                patch.setattr(qi, "_dd_cmul", unstacked_cmul)
+                rows = getattr(qi, f"_{route}_rows_dd").__wrapped__(N)
+            for p in framings:
+                assert repr(round_one(N, p)) == repr(self.unstacked_round_one(
+                    N, p, route, rows)), (route, N, p)
 
 
 class TestFormulaDiscrepancy:
