@@ -83,8 +83,13 @@ def _cmd_jones(args):
                     ["N", "n", "re", "im"])
 
 
+# The context of the last order, kept with its tables and rows, so wrt
+# calls that run one order's framings in turn build them once.
+_context = functools.lru_cache(maxsize=1)(RootOfUnityContext)
+
+
 def _cmd_wrt(args):
-    ctx = RootOfUnityContext(args.N)
+    ctx = _context(args.N)
     if args.form == "direct":
         value = wrt_direct(ctx, args.p)
     elif args.form == "double":

@@ -13,7 +13,7 @@ cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
 polynomially bounded; about 0.14*N + 4 digits are lost), so when the
 round's noise floor exceeds a 1e-12 relative budget the sum is replayed.
 Each term is a fixed product of prefix tables (S_k = prod_{a<=k} t_a and
-(q)_k, with their inverses), built once per N (_dd_tables) from the
+(q)_k, with their inverses), built once per order (_dd_tables) from the
 40-digit mpmath tables of the replay (_mp_tables) and split into
 double-doubles. Both table builds compute only what the symmetries of
 zeta^j leave: _mp_tables computes zeta^j, t_a and y_k for indices up to
@@ -49,11 +49,12 @@ Each route is one exact-arithmetic loop over the tables t_a = 2 sin(pi a/N),
 zeta^j and y_k = 1 - q^k, which builds its framing-independent rows
 (_direct_rows, _double_rows), and one dot of the rows with zeta^{p n^2}
 (_framed). The mpmath replay runs them over mpmath tables (_mp_tables),
-the certificate over their images in F_l (_field_tables), where it keeps
-the rows of each order and field (_field_rows), so a further framing costs
-O(N). The double sum steps its Pochhammer ratio by multiplying, so the
-replay divides nothing. Round 1 is its own closed form, tested against the
-mpmath replay of these loops.
+the certificate over their images in F_l (_field_image). Every table and
+row set built per order, of round 1 and the certificate, is kept on the
+caller's RootOfUnityContext, so a further framing costs O(N). The double
+sum steps its Pochhammer ratio by multiplying, so the replay divides
+nothing. Round 1 is its own closed form, tested against the mpmath replay
+of these loops.
 """
 
 import cmath
@@ -98,10 +99,14 @@ _MP_LOCK = threading.Lock()
 class RootOfUnityContext:
     """The root of unity q = exp(2*pi*i/N) and its fractional powers.
 
-    Immutable after construction and shareable across threads.
+    It also keeps, as long as it lives, what tau evaluations build once
+    per order, each set on first use: round 1's tables and rows, and the
+    zero certificate's fields with their F_l tables and rows. Shareable
+    across threads: two threads that race on one set may each build it,
+    and the builds agree.
     """
 
-    __slots__ = ("N", "q")
+    __slots__ = ("N", "q", "_state")
 
     def __init__(self, N):
         if isinstance(N, bool) or not isinstance(N, int):
@@ -110,6 +115,13 @@ class RootOfUnityContext:
             raise DomainError(f"order must be at least 3, got {N}")
         self.N = N
         self.q = cmath.exp(2j * math.pi / N)
+        self._state = {}
+
+    def _kept(self, key, build, *args):
+        """build(*args), called on the first request for key and kept."""
+        if key not in self._state:
+            self._state[key] = build(*args)
+        return self._state[key]
 
     def q_power(self, x):
         """q^x = exp(2*pi*i*x/N), the single fractional-power convention.
@@ -170,13 +182,13 @@ def _prefactor(ctx, p):
     )
 
 
-def _escalated(value, abs_sum, N, p, replay, image):
-    """Resolve the cancellation in round 1's (value, abs_sum) to the
-    relative budget.
+def _escalated(value, abs_sum, ctx, p, replay, route):
+    """Resolve the cancellation in round 1's (value, abs_sum) of route
+    ("direct" or "double") to the relative budget.
 
     value starts as the double-double round, with noise floor
-    abs_sum * N * 2^-104. If it misses the budget, _certified_zero(image,
-    N, p) is asked whether the sum is exactly zero, and if so 0j is
+    abs_sum * N * 2^-104. If it misses the budget, _certified_zero(ctx, p,
+    route) is asked whether the sum is exactly zero, and if so 0j is
     returned. Up to _MAX_ESCALATIONS rounds of replay(N, p, dps) under
     mpmath follow, with floor abs_sum * 10^-dps. Each picks its precision
     from the digits lost against the larger of the current value and the
@@ -187,6 +199,7 @@ def _escalated(value, abs_sum, N, p, replay, image):
     overflows from N of about 2150); PrecisionExhaustedError when the last
     mpmath round still misses the budget.
     """
+    N = ctx.N
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
         raise DomainError(
             f"tau_{N}(M_{p}): the double-double row build overflowed at N = {N}")
@@ -195,7 +208,7 @@ def _escalated(value, abs_sum, N, p, replay, image):
     for rounds in range(_MAX_ESCALATIONS + 1):
         if noise <= _RELATIVE_BUDGET * abs(value):
             return value
-        if rounds == 0 and _certified_zero(image, N, p):
+        if rounds == 0 and _certified_zero(ctx, p, route):
             return 0j
         if rounds == _MAX_ESCALATIONS:
             break
@@ -262,16 +275,6 @@ def _framed(N, p, rows, zeta, reduce):
     return reduce(total)
 
 
-def _direct_sum(N, p, t, zeta, reduce):
-    """t_1^2 times the bare direct sum, in the ring of the tables."""
-    return _framed(N, p, _direct_rows(N, t, reduce), zeta, reduce)
-
-
-def _double_sum(N, p, y, zeta, reduce):
-    """The bare double sum, in the ring of the tables."""
-    return _framed(N, p, _double_rows(N, y, zeta, reduce), zeta, reduce)
-
-
 def _is_prime(n):
     """Miller-Rabin with the first thirteen prime bases, exact for n < 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -296,7 +299,6 @@ def _is_prime(n):
     return True
 
 
-@lru_cache(maxsize=128)
 def _certificate_fields(N):
     """(l, r) pairs for the zero certificate at order N.
 
@@ -326,7 +328,6 @@ def _certificate_fields(N):
     return tuple(fields)
 
 
-@lru_cache(maxsize=8)
 def _field_tables(N, ell, r):
     """The replay's three tables in F_ell under zeta -> r, i = zeta^N -> r^N;
     t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}.
@@ -341,37 +342,31 @@ def _field_tables(N, ell, r):
     return t, zeta, y
 
 
-@lru_cache(maxsize=8)
-def _field_rows(N, ell, r, route):
-    """The rows of route ("direct" or "double") in F_ell under zeta -> r,
-    built once per order and field, so a further framing costs one
-    _framed pass of N terms."""
-    t, zeta, y = _field_tables(N, ell, r)
+def _field_image(ctx, p, route, field):
+    """Image in F_l, field = (l, r), under zeta -> r of route's rows times
+    the framing's phases: t_1^2, a unit, times the bare direct sum, or the
+    bare double sum. The field's tables and rows are kept on ctx, so a
+    further framing costs N terms.
+    """
+    N, (ell, r) = ctx.N, field
+
+    def reduce(v):
+        return v % ell
+
+    t, zeta, y = ctx._kept(field, _field_tables, N, ell, r)
     if route == "direct":
-        return tuple(_direct_rows(N, t, lambda v: v % ell))
-    return tuple(_double_rows(N, y, zeta, lambda v: v % ell))
+        rows = ctx._kept((route, field), _direct_rows, N, t, reduce)
+    else:
+        rows = ctx._kept((route, field), _double_rows, N, y, zeta, reduce)
+    return _framed(N, p, rows, zeta, reduce)
 
 
-def _direct_sum_mod(N, p, ell, r):
-    """Image in F_ell of _direct_sum: t_1^2, a unit, times the bare sum."""
-    _, zeta, _ = _field_tables(N, ell, r)
-    return _framed(N, p, _field_rows(N, ell, r, "direct"), zeta,
-                   lambda v: v % ell)
+def _certified_zero(ctx, p, route):
+    """True when route's _field_image vanishes in every certificate field.
 
-
-def _double_sum_mod(N, p, ell, r):
-    """Image in F_ell of the bare double sum under zeta -> r."""
-    _, zeta, _ = _field_tables(N, ell, r)
-    return _framed(N, p, _field_rows(N, ell, r, "double"), zeta,
-                   lambda v: v % ell)
-
-
-def _certified_zero(image, N, p):
-    """True when image(N, p, l, r) vanishes in every certificate field.
-
-    Each image is the dot of its route's rows, built once per order and
-    field by _field_rows, with the framing's phases zeta^{p n^2}, so the
-    second and third zeros of an order cost O(N) per field. The image is a
+    Each image is the dot of its route's rows, built once per context and
+    field, with the framing's phases zeta^{p n^2}, so the second and third
+    zeros of an order cost O(N) per field. The image is a
     ring map of a sum in Z[zeta], so a true zero always passes. A nonzero
     sum that passed would have to lie in a degree-one prime above each of
     two primes near 2^61, and, since _escalated asks only after its
@@ -379,7 +374,8 @@ def _certified_zero(image, N, p):
     have to sit within 1e12 times its noise floor abs_sum * N * 2^-104.
     The check proves nothing beyond those conditions.
     """
-    return all(image(N, p, ell, r) == 0 for ell, r in _certificate_fields(N))
+    fields = ctx._kept(_certificate_fields, _certificate_fields, ctx.N)
+    return all(_field_image(ctx, p, route, field) == 0 for field in fields)
 
 
 @lru_cache(maxsize=8)
@@ -556,7 +552,6 @@ def _triangle_rows(N, terms):
     return np.array([[0.0] * len(sums[0]), *sums]).T, np.array(moduli)
 
 
-@lru_cache(maxsize=8)
 def _dd_tables(N):
     """Double-double tables of both routes at order N, as (S, 1/S, c, A, B,
     Y, zeta), built from _mp_tables(N, _DD_DPS).
@@ -571,8 +566,8 @@ def _dd_tables(N):
     fill zeta^{j+N} = i zeta^j of the split parts, with 0.0 - v for the
     negated parts so that no -0.0 appears, as the split gives none.
     None depends on the framing: round 1 builds its rows from them once
-    per order (_direct_rows_dd, _double_rows_dd) and takes only the phases
-    zeta^{p n^2} per framing.
+    per context (_direct_rows_dd, _double_rows_dd) and takes only the
+    phases zeta^{p n^2} per framing.
     """
     order = 4 * N
     with _MP_LOCK, mp.workdps(_DD_DPS):
@@ -597,11 +592,10 @@ def _dd_tables(N):
                 np.concatenate(quarters, axis=1))
 
 
-@lru_cache(maxsize=8)
-def _direct_rows_dd(N):
+def _direct_rows_dd(N, tables):
     """The rows c_n sum_l (-1)^l S_{n+l} / S_{n-l-1} of the bare direct sum
     as a (2, N) array of double-doubles, and abs_sum, the summed moduli of
-    the sum's terms; both built once per order.
+    the sum's terms, from the tables of _dd_tables(N).
 
     Term (n, l) of the inner sum is a fixed product of _dd_tables entries,
     so no product is carried from step to step; the exact row sum is then
@@ -609,7 +603,7 @@ def _direct_rows_dd(N):
     times c_n zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum does not
     depend on the framing.
     """
-    S, S_inv, c, *_ = _dd_tables(N)
+    S, S_inv, c, *_ = tables
 
     def terms(n, l):
         hi, lo = _dd_mul(S[:, n + l], S_inv[:, n - l - 1])
@@ -621,13 +615,10 @@ def _direct_rows_dd(N):
             math.fsum((moduli * np.abs(c[0])).tolist()))
 
 
-@lru_cache(maxsize=8)
-def _double_rows_dd(N):
+def _double_rows_dd(N, tables):
     """The rows Y_n sum_m A_{n+m} B_{n-m-1} of the bare double sum as a
-    (4, N) array of complex double-doubles, and abs_sum, as
-    _direct_rows_dd, built once per order from the tables of
-    _dd_tables."""
-    *_, A, B, Y, _ = _dd_tables(N)
+    (4, N) array of complex double-doubles, and abs_sum, as _direct_rows_dd."""
+    *_, A, B, Y, _ = tables
     rows, moduli = _triangle_rows(
         N, lambda n, m: _dd_cmul(A[:, n + m], B[:, n - m - 1]))
     return (np.array(_dd_cmul(rows, Y)),
@@ -641,22 +632,23 @@ def _dd_total(z):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _round_one(N, p, rows_dd, times):
-    """(value, abs_sum) of the bare sum whose rows and abs_sum rows_dd(N)
-    builds: the exact sum of times(rows, phases), the rows times the
-    framing's phases zeta^{p n^2} in double-double, O(N) per framing.
-    From N of about 2150 the row build overflows and the result is not
-    finite: (nan, inf) where math.fsum raises on the overflowed terms.
+def _round_one(ctx, p, rows_dd, times):
+    """(value, abs_sum) of the bare sum whose rows and abs_sum
+    rows_dd(N, tables) builds, both kept on ctx: the exact sum of
+    times(rows, phases), the rows times the framing's phases zeta^{p n^2}
+    in double-double, O(N) per framing. From N of about 2150 the row build
+    overflows and the result is not finite: (nan, inf) where math.fsum
+    raises on the overflowed terms.
     """
     try:
-        rows, abs_sum = rows_dd(N)
-        *_, zeta = _dd_tables(N)
-        return _dd_total(times(rows, _dd_phases(zeta, N, p))), abs_sum
+        tables = ctx._kept(_dd_tables, _dd_tables, ctx.N)
+        rows, abs_sum = ctx._kept(rows_dd, rows_dd, ctx.N, tables)
+        return _dd_total(times(rows, _dd_phases(tables[-1], ctx.N, p))), abs_sum
     except (ValueError, OverflowError):
         return complex(math.nan, math.nan), math.inf
 
 
-def _direct_sum_f64(N, p):
+def _direct_sum_f64(ctx, p):
     """Round 1 of the bare direct sum, from the rows of _direct_rows_dd.
 
     The name is that of the float64 pass this round replaced:
@@ -668,25 +660,27 @@ def _direct_sum_f64(N, p):
         hi, lo = _dd_mul(rows, (phase[::2], phase[1::2]))
         return hi[0], lo[0], hi[1], lo[1]
 
-    return _round_one(N, p, _direct_rows_dd, times)
+    return _round_one(ctx, p, _direct_rows_dd, times)
 
 
-def _double_sum_f64(N, p):
+def _double_sum_f64(ctx, p):
     """Round 1 of the bare double sum, from the complex rows of
     _double_rows_dd."""
-    return _round_one(N, p, _double_rows_dd, _dd_cmul)
+    return _round_one(ctx, p, _double_rows_dd, _dd_cmul)
 
 
 def _direct_sum_mp(N, p, dps):
     with _MP_LOCK, mp.workdps(dps):
         t, zeta, _ = _mp_tables(N, dps)
-        return complex(_direct_sum(N, p, t, zeta, lambda v: v) / (t[1] * t[1]))
+        rows = _direct_rows(N, t, lambda v: v)
+        return complex(_framed(N, p, rows, zeta, lambda v: v) / (t[1] * t[1]))
 
 
 def _double_sum_mp(N, p, dps):
     with _MP_LOCK, mp.workdps(dps):
         _, zeta, y = _mp_tables(N, dps)
-        return complex(_double_sum(N, p, y, zeta, lambda v: v))
+        rows = _double_rows(N, y, zeta, lambda v: v)
+        return complex(_framed(N, p, rows, zeta, lambda v: v))
 
 
 def wrt_direct(ctx, p):
@@ -703,9 +697,8 @@ def wrt_direct(ctx, p):
         raise UnsupportedFramingError(
             f"direct form requires a positive surgery coefficient, got {p}"
         )
-    value, abs_sum = _direct_sum_f64(ctx.N, p)
-    value = _escalated(value, abs_sum, ctx.N, p,
-                       _direct_sum_mp, _direct_sum_mod)
+    value, abs_sum = _direct_sum_f64(ctx, p)
+    value = _escalated(value, abs_sum, ctx, p, _direct_sum_mp, "direct")
     if not value:
         return 0j
     return _prefactor(ctx, p) * value
@@ -727,9 +720,8 @@ def wrt_double_sum(ctx, p):
     1 <= |p| <= 8, where exact zeros pair with exact zeros.
     """
     p = checked_framing(p)
-    value, abs_sum = _double_sum_f64(ctx.N, p)
-    value = _escalated(value, abs_sum, ctx.N, p,
-                       _double_sum_mp, _double_sum_mod)
+    value, abs_sum = _double_sum_f64(ctx, p)
+    value = _escalated(value, abs_sum, ctx, p, _double_sum_mp, "double")
     if not value:
         return 0j
     denom = (ctx.q_power(0.5) - ctx.q_power(-0.5)) ** 2

@@ -79,6 +79,7 @@ _LINE_SEARCH_BLOCK = 1024   # line-search candidates evaluated at once
 _DEDUP_DISTANCE = 1e-9      # max-norm distance at which points merge
 _GRID_DENSITY = 24          # grid starts per axis of the s-square
 _MEMBERSHIP_DISTANCE = 1e-8  # orbit membership of the geometric candidate
+_POSITIVE_IM_V = 1e-9       # Im V above this is positive: a geometric candidate
 _MAX_FRAMING = 136          # largest |p| at which np.roots keeps every point
 _LABEL_RANK = {
     "geometric-candidate": 0,
@@ -545,15 +546,15 @@ def classify(points):
     """Fill labels on polished points.
 
     The geometric-candidate is the point of maximal Im V among those with
-    Im V > 0 (ties within 1e-9 broken lexicographically by (Re zeta,
-    Im zeta)); points within 1e-8 of its remaining orbit members are
-    labeled conjugate. Of the rest, ||zeta| - 1| < 1e-9 is unit-modulus and
+    Im V > _POSITIVE_IM_V (ties within 1e-9 broken lexicographically by
+    (Re zeta, Im zeta)); points within 1e-8 of its remaining orbit members
+    are labeled conjugate. Of the rest, ||zeta| - 1| < 1e-9 is unit-modulus and
     both coordinates real to 1e-9 is real; everything else is other.
     """
     if not points:
         return []
     geometric = None
-    positive = [pt for pt in points if pt.correction.value.imag > 1e-9]
+    positive = [pt for pt in points if pt.correction.value.imag > _POSITIVE_IM_V]
     if positive:
         top = max(pt.correction.value.imag for pt in positive)
         ties = [pt for pt in positive if pt.correction.value.imag >= top - 1e-9]
@@ -603,7 +604,7 @@ def track_geometric(p_values):
                 correction = branch_correct(p, (z, w))
             except (BranchInconsistencyError, SingularPointError):
                 continue
-            if correction.value.imag > 1e-9:
+            if correction.value.imag > _POSITIVE_IM_V:
                 point = SaddlePoint(zeta=z, omega=w, residual=residual,
                                     correction=correction,
                                     label="geometric-candidate", sheet=sheet)

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from olim41 import cli, quantum_invariants
 from olim41.cli import emit_csv, main
 from olim41.quantum_invariants import (
     RootOfUnityContext,
@@ -266,6 +267,22 @@ class TestRepeatedCalls:
         code, out, _ = _run(argv, capsys)
         assert code == 0
         assert out == target.read_text(encoding="utf-8")
+
+    def test_wrt_keeps_the_last_order_context(self, monkeypatch, capsys):
+        # the benchmark's tau-grid runs each order's framings one after
+        # another; the tables are built once per order, not per framing
+        builds = []
+        build = quantum_invariants._dd_tables
+        monkeypatch.setattr(quantum_invariants, "_dd_tables",
+                            lambda N: builds.append(N) or build(N))
+        cli._context.cache_clear()
+        for N, p in ((33, 1), (33, 2), (33, 3), (34, 1)):
+            code, out, _ = _run(["wrt", "--N", str(N), "--p", str(p),
+                                 "--form", "both"], capsys)
+            assert code == 0
+            _, rows = _rows(out)
+            assert float(rows[0]["discrepancy"]) < 1e-9
+        assert builds == [33, 34]
 
     def test_good_call_after_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,7 +40,8 @@ def test_double_double_round_meets_its_floor(N, p):
     routes = [(qi._double_sum_f64, qi._double_sum_mp)]
     if p >= 1:
         routes.append((qi._direct_sum_f64, qi._direct_sum_mp))
+    ctx = RootOfUnityContext(N)
     for round_one, replay in routes:
-        value, abs_sum = round_one(N, p)
+        value, abs_sum = round_one(ctx, p)
         floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
         assert abs(value - replay(N, p, 60)) <= floor, (N, p, round_one.__name__)

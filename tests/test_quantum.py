@@ -10,6 +10,8 @@ certificate evaluating one element of Z[zeta_{4N}].
 import cmath
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -218,7 +220,7 @@ class TestWrt:
         assert len(calls) >= 2 and min(calls) > 31
         assert d < 1e-9
 
-    def test_noise_rounds_double_the_precision(self):
+    def test_noise_rounds_double_the_precision(self, monkeypatch):
         # wrt_direct at (1400, 6) sums magnitude 2.2e204 and needs about 212
         # digits. A replay that finds only noise below that must not run out
         # of rounds at 22 more digits each, as 51, 73, ..., 205 did.
@@ -229,8 +231,9 @@ class TestWrt:
             calls.append(dps)
             return 1.0 if dps >= 212 else abs_sum * 10.0 ** -dps / 2
 
-        value = qi._escalated(0j, abs_sum, 1400, 6, replay,
-                              lambda N, p, ell, r: 1)
+        monkeypatch.setattr(qi, "_field_image", lambda ctx, p, route, field: 1)
+        value = qi._escalated(0j, abs_sum, RootOfUnityContext(1400), 6, replay,
+                              "direct")
         assert value == 1.0
         assert len(calls) <= 5, calls
 
@@ -239,17 +242,14 @@ class TestDoubleDoubleRound:
     def test_row_blocks_keep_the_precision(self, monkeypatch):
         # Past _DD_BLOCK terms (N above about 510) the triangle is summed in
         # row blocks; blocks of about 64 terms must match the single block,
-        # in round 1's value and in its abs_sum. The rows are cached per
-        # order, so their uncached builders stand in for them here and
-        # build the rows in blocks.
+        # in round 1's value and in its abs_sum. The rows are kept per
+        # context, so a fresh context builds them in blocks.
         routes = (qi._direct_sum_f64, qi._double_sum_f64)
-        whole = {fn: fn(40, 6) for fn in routes}
+        whole = {fn: fn(RootOfUnityContext(40), 6) for fn in routes}
         monkeypatch.setattr(qi, "_DD_BLOCK", 64)
-        for name in ("_direct_rows_dd", "_double_rows_dd"):
-            monkeypatch.setattr(qi, name, getattr(qi, name).__wrapped__)
         for fn in routes:
             value, abs_sum = whole[fn]
-            blocked, blocked_abs_sum = fn(40, 6)
+            blocked, blocked_abs_sum = fn(RootOfUnityContext(40), 6)
             assert blocked_abs_sum == abs_sum, fn.__name__
             floor = abs_sum * 40 * qi._DD_NOISE_PER_UNIT
             assert abs(blocked - value) <= floor, fn.__name__
@@ -386,9 +386,9 @@ class TestCertifiedZeros:
 
     def test_escalated_nonzero_is_not_zeroed(self):
         for N, p in ((60, 6), (64, 6)):
-            assert not qi._certified_zero(qi._direct_sum_mod, N, p)
-            assert not qi._certified_zero(qi._double_sum_mod, N, p)
             ctx = RootOfUnityContext(N)
+            assert not qi._certified_zero(ctx, p, "direct")
+            assert not qi._certified_zero(ctx, p, "double")
             direct = wrt_direct(ctx, p)
             double = wrt_double_sum(ctx, p)
             assert abs(direct) > 0 and abs(double) > 0
@@ -399,8 +399,8 @@ class TestCertifiedZeros:
         # sum at (60, 6) is nonzero, so the certificate cannot end it.
         for name in ("_direct_sum_f64", "_double_sum_f64"):
             round_one = getattr(qi, name)
-            monkeypatch.setattr(qi, name, lambda N, p, round_one=round_one:
-                                (0j, round_one(N, p)[1]))
+            monkeypatch.setattr(qi, name, lambda ctx, p, round_one=round_one:
+                                (0j, round_one(ctx, p)[1]))
         monkeypatch.setattr(qi, "_direct_sum_mp", lambda N, p, dps: 0j)
         monkeypatch.setattr(qi, "_double_sum_mp", lambda N, p, dps: 0j)
         ctx = RootOfUnityContext(60)
@@ -418,7 +418,7 @@ class TestCertifiedZeros:
 
     def test_overflowed_f64_pass_raises(self, monkeypatch, capsys):
         # Round 1's row build overflows between N = 2000 and 2300.
-        overflow = lambda N, p: (complex(math.nan, math.nan), math.inf)
+        overflow = lambda ctx, p: (complex(math.nan, math.nan), math.inf)
         monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
         monkeypatch.setattr(qi, "_double_sum_f64", overflow)
         ctx = RootOfUnityContext(2300)
@@ -432,6 +432,85 @@ class TestCertifiedZeros:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
+
+
+def counted(monkeypatch, name):
+    """Replace qi.<name> with a wrapper that records the arguments of
+    each call, and return the list of them."""
+    calls = []
+    build = getattr(qi, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(qi, name, wrapper)
+    return calls
+
+
+class TestStatePerContext:
+    """Each order's tables and rows are built once per context the caller
+    holds, in whatever order the framings come."""
+
+    # the tau-grid orders of bench/workloads.py at seed 0
+    ORDERS = (6, 7, 14, 15, 33, 34, 35, 36, 37, 38, 39, 40)
+
+    def test_dd_tables_built_once_per_order(self, monkeypatch):
+        # the framing outer, so every order comes back at each framing
+        builds = counted(monkeypatch, "_dd_tables")
+        contexts = [RootOfUnityContext(N) for N in self.ORDERS]
+        for p in range(1, 11):
+            for ctx in contexts:
+                direct, double = wrt_direct(ctx, p), wrt_double_sum(ctx, p)
+                assert formula_discrepancy(direct, double) < 1e-9, (ctx, p)
+        assert builds == [(N,) for N in self.ORDERS]
+
+    def test_certificate_built_once_per_field(self, monkeypatch):
+        orders = (33, 35, 37)
+        builds = {name: counted(monkeypatch, name)
+                  for name in ("_field_tables", "_direct_rows", "_double_rows")}
+        contexts = [RootOfUnityContext(N) for N in orders]
+        for p in (2, 6, 10):
+            for ctx in contexts:
+                assert wrt_direct(ctx, p) == 0j, (ctx, p)
+                assert wrt_double_sum(ctx, p) == 0j, (ctx, p)
+        fields = {N: qi._certificate_fields(N) for N in orders}
+        assert sorted(builds["_field_tables"]) == sorted(
+            (N, ell, r) for N in orders for ell, r in fields[N])
+        for name in ("_direct_rows", "_double_rows"):
+            assert sorted(args[0] for args in builds[name]) == sorted(
+                N for N in orders for _ in fields[N]), name
+
+    def test_threads_share_one_context(self):
+        # threads racing on one context may each build a set; every value
+        # equals the one a context of its own gives
+        framings = list(range(1, 11))
+        expected = {p: (wrt_direct(RootOfUnityContext(37), p),
+                        wrt_double_sum(RootOfUnityContext(37), p))
+                    for p in framings}
+        ctx = RootOfUnityContext(37)
+        results = []
+
+        def work(shift):
+            for p in framings[shift:] + framings[:shift]:
+                results.append((p, wrt_direct(ctx, p), wrt_double_sum(ctx, p)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(shift,))
+                       for shift in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * len(framings)
+        for p, direct, double in results:
+            assert (direct, double) == expected[p], p
+
 
 class TestFiniteFieldImage:
     def test_miller_rabin(self):
@@ -458,39 +537,53 @@ class TestFiniteFieldImage:
 
     def test_nonzero_sum_has_nonzero_image(self):
         assert abs(TAU_5_P1) > 1
-        for ell, r in qi._certificate_fields(5):
-            assert qi._direct_sum_mod(5, 1, ell, r) != 0
-            assert qi._double_sum_mod(5, 1, ell, r) != 0
+        ctx = RootOfUnityContext(5)
+        for field in qi._certificate_fields(5):
+            assert qi._field_image(ctx, 1, "direct", field) != 0
+            assert qi._field_image(ctx, 1, "double", field) != 0
 
-    def test_field_tables_built_once_per_field(self):
-        # the three zeros at N = 37 over both routes take 12 images, each
-        # reading its field's tables for the phases, and build each (field,
-        # route) row list once, on a read of the tables: 16 reads, 2 builds;
-        # the sum loops leave the cached lists as built
-        qi._field_tables.cache_clear()
-        qi._field_rows.cache_clear()
+    def test_field_tables_built_once_per_field(self, monkeypatch):
+        # the three zeros at N = 37 over both routes take 12 images and
+        # build each field's tables once and each (field, route) row list
+        # once; the sum loops leave the kept tables and rows as built
+        builds = {name: counted(monkeypatch, name)
+                  for name in ("_field_tables", "_direct_rows", "_double_rows")}
         ctx = RootOfUnityContext(37)
         for p in (2, 6, 10):
             assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
-        info = qi._field_tables.cache_info()
-        assert (info.misses, info.hits) == (2, 14)
-        info = qi._field_rows.cache_info()
-        assert (info.misses, info.hits) == (4, 8)
-        for ell, r in qi._certificate_fields(37):
-            assert qi._field_tables(37, ell, r) == \
-                qi._field_tables.__wrapped__(37, ell, r)
-            assert qi._direct_sum_mod(37, 1, ell, r) != 0
+        fields = qi._certificate_fields(37)
+        assert sorted(builds["_field_tables"]) == \
+            sorted((37, ell, r) for ell, r in fields)
+        assert len(builds["_direct_rows"]) == len(builds["_double_rows"]) \
+            == len(fields)
+        fresh = RootOfUnityContext(37)
+        for field in fields:
+            for route in ("direct", "double"):
+                image = qi._field_image(ctx, 1, route, field)
+                assert image != 0
+                assert image == qi._field_image(fresh, 1, route, field)
 
-    def test_certificate_needs_every_field(self):
-        first = qi._certificate_fields(5)[0][0]
-        assert not qi._certified_zero(
-            lambda N, p, ell, r: 0 if ell == first else 1, 5, 1)
-        assert qi._certified_zero(lambda N, p, ell, r: 0, 5, 1)
+    def test_certificate_needs_every_field(self, monkeypatch):
+        first = qi._certificate_fields(5)[0]
+        ctx = RootOfUnityContext(5)
+        monkeypatch.setattr(qi, "_field_image", lambda ctx, p, route, field:
+                            0 if field == first else 1)
+        assert not qi._certified_zero(ctx, 1, "direct")
+        monkeypatch.setattr(qi, "_field_image", lambda ctx, p, route, field: 0)
+        assert qi._certified_zero(ctx, 1, "direct")
 
 
 def unreduced(value):
     """The reduce argument of the sums for rings without a canonical form."""
     return value
+
+
+def ring_sums(N, p, t, zeta, y, reduce):
+    """t_1^2 times the bare direct sum and the bare double sum in the ring
+    of the tables: each route's rows times the framing's phases, as the
+    replay and the certificate take them."""
+    return (qi._framed(N, p, qi._direct_rows(N, t, reduce), zeta, reduce),
+            qi._framed(N, p, qi._double_rows(N, y, zeta, reduce), zeta, reduce))
 
 
 class Cyclotomic:
@@ -561,19 +654,23 @@ class TestOneElementOfZZeta:
     @staticmethod
     def exact_sums(N, p):
         t, x, y = TestOneElementOfZZeta.exact_tables(N)
-        return (qi._direct_sum(N, p, t, x, unreduced),
-                qi._double_sum(N, p, y, x, unreduced))
+        return ring_sums(N, p, t, x, y, unreduced)
 
     def test_certificate_is_the_image(self):
         for N, p in self.CASES:
             direct, double = self.exact_sums(N, p)
+            ctx = RootOfUnityContext(N)
             for ell, r in qi._certificate_fields(N):
-                assert direct.at(r) % ell == qi._direct_sum_mod(N, p, ell, r)
-                assert double.at(r) % ell == qi._double_sum_mod(N, p, ell, r)
+                field = (ell, r)
+                assert direct.at(r) % ell == \
+                    qi._field_image(ctx, p, "direct", field)
+                assert double.at(r) % ell == \
+                    qi._field_image(ctx, p, "double", field)
         # (5, 2) is a certified zero of both routes
-        for ell, r in qi._certificate_fields(5):
-            assert qi._direct_sum_mod(5, 2, ell, r) == 0
-            assert qi._double_sum_mod(5, 2, ell, r) == 0
+        ctx = RootOfUnityContext(5)
+        for field in qi._certificate_fields(5):
+            assert qi._field_image(ctx, 2, "direct", field) == 0
+            assert qi._field_image(ctx, 2, "double", field) == 0
 
     def test_replay_is_the_complex_value(self):
         for N, p in self.CASES:
@@ -581,10 +678,10 @@ class TestOneElementOfZZeta:
             with qi._MP_LOCK, mp.workdps(50):
                 t, zeta, y = qi._mp_tables(N, 50)
                 root = mp.expjpi(mp.mpf(1) / (2 * N))
-                assert abs(direct.at(root)
-                           - qi._direct_sum(N, p, t, zeta, unreduced)) < 1e-45
-                assert abs(double.at(root)
-                           - qi._double_sum(N, p, y, zeta, unreduced)) < 1e-45
+                replay_direct, replay_double = ring_sums(N, p, t, zeta, y,
+                                                         unreduced)
+                assert abs(direct.at(root) - replay_direct) < 1e-45
+                assert abs(double.at(root) - replay_double) < 1e-45
                 bare = complex(direct.at(root) / (t[1] * t[1]))
             # one rounding to f64; the zeros are 50-digit noise
             replay = qi._direct_sum_mp(N, p, 50)
@@ -642,10 +739,11 @@ def triangle_indices(N):
             np.concatenate([np.arange(count) for count in counts]))
 
 
-def triangle_direct_sum_dd(N, p):
+def triangle_direct_sum_dd(N, p, tables):
     """The direct double-double round with each term multiplied out by its
-    framing's phase over the whole triangle."""
-    S, S_inv, c, *_, zeta = qi._dd_tables(N)
+    framing's phase over the whole triangle, from the tables of
+    _dd_tables(N)."""
+    S, S_inv, c, *_, zeta = tables
     phase = qi._dd_phases(zeta, N, p)
     coef = np.array([*qi._dd_mul(c, phase[:2]), *qi._dd_mul(c, phase[2:])])
     n, l = triangle_indices(N)
@@ -656,9 +754,9 @@ def triangle_direct_sum_dd(N, p):
                             *qi._dd_mul(ratio, coef[2:, n])))
 
 
-def triangle_double_sum_dd(N, p):
+def triangle_double_sum_dd(N, p, tables):
     """The double double-double round, multiplied out as the direct one."""
-    *_, A, B, Y, zeta = qi._dd_tables(N)
+    *_, A, B, Y, zeta = tables
     coef = np.array(qi._dd_cmul(Y, qi._dd_phases(zeta, N, p)))
     n, m = triangle_indices(N)
     return triangle_sum_dd(qi._dd_cmul(
@@ -673,15 +771,16 @@ class TestRowsTimesPhases:
 
     def test_field_images_equal_the_loops(self):
         for N, p in self.CASES:
+            ctx = RootOfUnityContext(N)
             for ell, r in qi._certificate_fields(N):
                 t, zeta, y = qi._field_tables(N, ell, r)
 
                 def mod(v):
                     return v % ell
 
-                assert qi._direct_sum_mod(N, p, ell, r) == \
+                assert qi._field_image(ctx, p, "direct", (ell, r)) == \
                     loop_direct_sum(N, p, t, zeta, mod), (N, p)
-                assert qi._double_sum_mod(N, p, ell, r) == \
+                assert qi._field_image(ctx, p, "double", (ell, r)) == \
                     loop_double_sum(N, p, y, zeta, mod), (N, p)
 
     def test_replay_equals_the_loops(self):
@@ -690,13 +789,12 @@ class TestRowsTimesPhases:
         # row by its phase once, which moves only the 50-digit rounding of
         # terms that reach the summed magnitude abs_sum
         for N, p in self.CASES:
-            _, abs_sum = qi._double_sum_f64(N, p)
+            _, abs_sum = qi._double_sum_f64(RootOfUnityContext(N), p)
             with qi._MP_LOCK, mp.workdps(50):
                 t, zeta, y = qi._mp_tables(N, 50)
-                assert qi._direct_sum(N, p, t, zeta, unreduced) == \
-                    loop_direct_sum(N, p, t, zeta, unreduced), (N, p)
-                assert abs(qi._double_sum(N, p, y, zeta, unreduced)
-                           - loop_double_sum(N, p, y, zeta, unreduced)) \
+                direct, double = ring_sums(N, p, t, zeta, y, unreduced)
+                assert direct == loop_direct_sum(N, p, t, zeta, unreduced), (N, p)
+                assert abs(double - loop_double_sum(N, p, y, zeta, unreduced)) \
                     < 1e-45 * max(abs_sum, 1.0), (N, p)
 
     def test_dd_rounds_equal_the_whole_triangle(self):
@@ -705,10 +803,11 @@ class TestRowsTimesPhases:
         routes = [(qi._direct_sum_f64, triangle_direct_sum_dd),
                   (qi._double_sum_f64, triangle_double_sum_dd)]
         for N in range(3, 97):
+            ctx, tables = RootOfUnityContext(N), qi._dd_tables(N)
             for p in (-40, -17, -6, -1, 0, 1, 2, 7, 23, 40):
                 for rows, whole in routes:
-                    value, abs_sum = rows(N, p)
-                    whole_value, whole_abs_sum = whole(N, p)
+                    value, abs_sum = rows(ctx, p)
+                    whole_value, whole_abs_sum = whole(N, p, tables)
                     floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
                     assert abs(value - whole_value) <= floor, \
                         (rows.__name__, N, p)
@@ -794,7 +893,7 @@ class TestTableBuilds:
     def test_dd_tables(self):
         # tobytes, so that the sign of every zero counts
         for N in [*range(3, 201), 333, 520, 1000]:
-            tables = qi._dd_tables.__wrapped__(N)
+            tables = qi._dd_tables(N)
             full = full_dd_tables(N)
             assert len(tables) == len(full) == 7
             for k, (table, expected) in enumerate(zip(tables, full)):
@@ -806,7 +905,7 @@ class TestTableBuilds:
             fields = qi._certificate_fields(N)
             assert fields == all_divisor_fields(N), N
             for ell, r in fields:
-                assert qi._field_tables.__wrapped__(N, ell, r) == \
+                assert qi._field_tables(N, ell, r) == \
                     pow_field_tables(N, ell, r), N
 
 
@@ -852,12 +951,11 @@ class TestStackedProducts:
             np.testing.assert_array_equal(other, want)
 
     @staticmethod
-    def unstacked_round_one(N, p, route, rows):
+    def unstacked_round_one(N, p, route, rows, zeta):
         """(value, abs_sum) of round 1 from rows = (rows, abs_sum) built with
         unstacked_cmul, with the direct dot as two real products and the
-        double dot by unstacked_cmul."""
+        double dot by unstacked_cmul; zeta is the table of _dd_tables(N)."""
         rows, abs_sum = rows
-        *_, zeta = qi._dd_tables(N)
         phase = qi._dd_phases(zeta, N, p)
         if route == "direct":
             times = (*qi._dd_mul(rows, phase[:2]), *qi._dd_mul(rows, phase[2:]))
@@ -869,14 +967,15 @@ class TestStackedProducts:
     def test_round_one(self, N, monkeypatch):
         # at N = 520 the triangle's rows are built in two blocks
         framings = range(-40, 41) if N < 97 else (-7, 6, 40)
+        ctx, tables = RootOfUnityContext(N), qi._dd_tables(N)
         for route in ("direct", "double"):
             round_one = getattr(qi, f"_{route}_sum_f64")
             with monkeypatch.context() as patch:
                 patch.setattr(qi, "_dd_cmul", unstacked_cmul)
-                rows = getattr(qi, f"_{route}_rows_dd").__wrapped__(N)
+                rows = getattr(qi, f"_{route}_rows_dd")(N, tables)
             for p in framings:
-                assert repr(round_one(N, p)) == repr(self.unstacked_round_one(
-                    N, p, route, rows)), (route, N, p)
+                assert repr(round_one(ctx, p)) == repr(self.unstacked_round_one(
+                    N, p, route, rows, tables[-1])), (route, N, p)
 
 
 class TestFormulaDiscrepancy:
@@ -914,5 +1013,5 @@ class TestKernelBackends:
 
     def test_abs_sum_bounds_value(self):
         for fn in (qi._direct_sum_f64, qi._double_sum_f64):
-            value, abs_sum = fn(30, 6)
+            value, abs_sum = fn(RootOfUnityContext(30), 6)
             assert abs(value) <= abs_sum * (1 + 1e-12)
