@@ -2,9 +2,10 @@
 
 Every subcommand computes its full result first and emits one CSV table
 (header plus rows, 12 significant digits) to stdout or --output, so a
-failing computation never leaves a partial table behind. Domain errors
-exit with status 1 and a one-line diagnostic on stderr; usage errors exit
-with status 2. Identical invocations produce byte-identical output.
+failing computation never leaves a partial table behind. Domain errors,
+and an --output path that cannot be written, exit with status 1 and a
+one-line diagnostic on stderr; usage errors exit with status 2. Identical
+invocations produce byte-identical output.
 
 Subcommands:
     jones   --N --n                      colored Jones value J_n(4_1; q)
@@ -244,9 +245,13 @@ def main(argv=None):
         return 1
     if args.output is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

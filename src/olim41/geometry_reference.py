@@ -93,41 +93,48 @@ def load_references(path):
     Lines starting with # are comments; the first data line must be the
     header. A user row replaces the builtin with the same p; duplicate p
     within the file, malformed fields, or negative volume raise
-    ReferenceDataError with the offending line number.
+    ReferenceDataError with the offending line number, and a file that
+    cannot be read as UTF-8 text raises it with the path.
     """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise ReferenceDataError(
+            f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}"
+        ) from exc
     merged = {ref.p: ref for ref in builtin_references()}
     seen = set()
     header_done = False
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_done:
-                if [c.strip() for c in line.split(",")] != ["p", "vol", "cs"]:
-                    raise ReferenceDataError(
-                        f"line {lineno}: expected header 'p,vol,cs', got {line!r}"
-                    )
-                header_done = True
-                continue
-            fields = [c.strip() for c in line.split(",")]
-            if len(fields) != 3:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_done:
+            if [c.strip() for c in line.split(",")] != ["p", "vol", "cs"]:
                 raise ReferenceDataError(
-                    f"line {lineno}: expected 3 fields, got {len(fields)}"
+                    f"line {lineno}: expected header 'p,vol,cs', got {line!r}"
                 )
-            try:
-                p = int(fields[0])
-                vol = float(fields[1])
-                cs = float(fields[2])
-            except ValueError as exc:
-                raise ReferenceDataError(f"line {lineno}: {exc}") from exc
-            if p in seen:
-                raise ReferenceDataError(f"line {lineno}: duplicate framing p={p}")
-            seen.add(p)
-            try:
-                merged[p] = GeometryReference(p=p, vol=vol, cs=cs, provenance="user-csv")
-            except DomainError as exc:
-                raise ReferenceDataError(f"line {lineno}: {exc}") from exc
+            header_done = True
+            continue
+        fields = [c.strip() for c in line.split(",")]
+        if len(fields) != 3:
+            raise ReferenceDataError(
+                f"line {lineno}: expected 3 fields, got {len(fields)}"
+            )
+        try:
+            p = int(fields[0])
+            vol = float(fields[1])
+            cs = float(fields[2])
+        except ValueError as exc:
+            raise ReferenceDataError(f"line {lineno}: {exc}") from exc
+        if p in seen:
+            raise ReferenceDataError(f"line {lineno}: duplicate framing p={p}")
+        seen.add(p)
+        try:
+            merged[p] = GeometryReference(p=p, vol=vol, cs=cs, provenance="user-csv")
+        except DomainError as exc:
+            raise ReferenceDataError(f"line {lineno}: {exc}") from exc
     if not header_done:
         raise ReferenceDataError("missing header 'p,vol,cs'")
     return sorted(merged.values(), key=lambda ref: ref.p)

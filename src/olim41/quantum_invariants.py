@@ -6,59 +6,54 @@ the Pochhammer-ratio double sum with its prefactor P(N) carried in exact
 closed form. Fractional powers q^x mean exp(2*pi*i*x/N) throughout; both
 routes share that convention, which is what makes them agree to rounding.
 
+Both bare sums lie in Z[zeta], zeta = exp(pi*i/(2N)) = q^{1/4}, and each
+route is stated once (_route_tables): in every ring, D times the bare sum
+is sum_{n=1}^{N-1} c_n zeta^{p n^2} sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1},
+where each entry of A and B is a sign or a power of zeta times a prefix
+product, S_k = prod_{a<=k} 2 sin(pi a/N) or (q)_k = prod_{j<=k} (1 - q^j).
+A reads the products forward and B backward, so no table divides; the
+only division is by D. The framing enters only through the phase
+zeta^{p n^2} of row n, so each ring sums its rows once (_rows) and a
+framing costs one dot of the N rows with its phases (_framed).
+
 Round 1 of each route (_direct_sum_f64, _double_sum_f64) is double-double
 arithmetic (about 31 digits; Dekker, Numer. Math. 18, 1971), and reports
 the summed magnitude abs_sum of the sum's terms with its value. The sum
 cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
 polynomially bounded; about 0.14*N + 4 digits are lost), so when the
 round's noise floor exceeds a 1e-12 relative budget the sum is replayed.
-Each term is a fixed product of prefix tables (S_k = prod_{a<=k} t_a and
-(q)_k, with their inverses), built once per order (_dd_tables) from the
-40-digit mpmath tables of the replay (_mp_tables) and split into
-double-doubles. Both table builds compute only what the symmetries of
-zeta^j leave: _mp_tables computes zeta^j, t_a and y_k for indices up to
-N/2 and fills the rest by exact part swaps, negations and conjugations,
-and _dd_tables splits only zeta^j for j < N, fills the other three
-quarters by the exact rotation zeta^{j+N} = i zeta^j, and takes
-Y_k = y_k zeta^{-4k} as zeta^{-4k} - 1. The framing p enters either sum
-only through the phase zeta^{p n^2} of its row n, so round 1 sums each
-row exactly once per order, multiplying hi and lo parts with Dekker's
-TwoProd, summing all parts with math.fsum and rounding it to a
-double-double (_direct_rows_dd, _double_rows_dd); abs_sum is summed there
-too, since |zeta^{p n^2}| = 1. A framing then costs one dot of the N rows
-with its phases; a complex product, in the rows and in the dot, is one
-stacked TwoProd of the (re, im) parts (_dd_cmul). No term
-carries a product from the one before, so the error does not grow with n.
-The noise floor is abs_sum * N * 2^-104, 33 times the largest error
-measured against a 60-digit replay over N = 3..96 at eleven framings in
--40..40; at p = 6 it meets the budget up to N of about 120.
-Later rounds run the sum in the same fixed (n, m) order under mpmath, at a
-precision taken from the cancellation the previous round measured. A
-round whose result is itself rounding noise escalates again at twice its
-digits or more, so the precision climbs until the floor clears the budget.
+Its tables (_dd_tables) are A, B and c/D over the replay's 40-digit mpmath
+tables (_mp_tables), split into double-doubles. _mp_tables computes zeta^j,
+t_a and y_k only for indices up to N/2 and fills the rest by exact part
+swaps, negations and conjugations; _dd_tables splits zeta^j only for j < N
+and fills the rest by the exact rotation zeta^{j+N} = i zeta^j. Each row is
+summed exactly once per order, with Dekker's TwoProd and math.fsum, and
+rounded to a double-double (_rows_dd), as is abs_sum, since
+|zeta^{p n^2}| = 1; a complex product is one stacked TwoProd of the
+(re, im) parts (_dd_cmul). No term carries a product from the one before,
+so the error does not grow with n. The noise floor is
+abs_sum * N * 2^-104, 33 times the largest error measured against a
+60-digit replay over N = 3..96 at eleven framings in -40..40; at p = 6 it
+meets the budget up to N of about 120. Later rounds run _rows under
+mpmath, at a precision taken from the cancellation the previous round
+measured, and divide by D. A round whose result is itself rounding noise
+escalates again at twice its digits or more.
 
-An exact zero of tau_N never clears it, so a double-double round that
-misses the budget triggers a zero certificate. Both bare sums lie in Z[zeta],
-zeta = exp(pi*i/(2N)), and for a prime l = 1 (mod 4N) the ring map sending
-zeta to a primitive 4N-th root of unity in F_l evaluates them exactly. A
-sum whose image vanishes modulo two such primes is returned as exact 0j;
-any other escalates on, and at the round cap raises PrecisionExhaustedError
-instead of returning rounding noise. Public functions return Python complex.
-
-Each route is one exact-arithmetic loop over the tables t_a = 2 sin(pi a/N),
-zeta^j and y_k = 1 - q^k, which builds its framing-independent rows
-(_direct_rows, _double_rows), and one dot of the rows with zeta^{p n^2}
-(_framed). The mpmath replay runs them over mpmath tables (_mp_tables),
-the certificate over their images in F_l (_field_image). Every table and
-row set built per order, of round 1 and the certificate, is kept on the
-caller's RootOfUnityContext, so a further framing costs O(N). The double
-sum steps its Pochhammer ratio by multiplying, so the replay divides
-nothing. Round 1 is its own closed form, tested against the mpmath replay
-of these loops.
+An exact zero of tau_N never clears the budget, so a double-double round
+that misses it triggers a zero certificate. For a prime l = 1 (mod 4N) the
+ring map sending zeta to a primitive 4N-th root of unity in F_l evaluates
+both sums exactly; the certificate runs _rows over the images of the
+tables (_field_image) and skips D, a unit there. A sum whose image vanishes
+modulo two such primes is returned as exact 0j; any other escalates on,
+and at the round cap raises PrecisionExhaustedError instead of returning
+rounding noise. Every table and row set built per order, of round 1 and
+the certificate, is kept on the caller's RootOfUnityContext, so a further
+framing costs O(N). Public functions return Python complex.
 """
 
 import cmath
 import math
+import operator
 import sys
 import threading
 from functools import lru_cache
@@ -226,44 +221,56 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
     )
 
 
-def _direct_rows(N, t, reduce):
-    """t_1^2 times the rows [n]^2 J_n, 1 <= n < N, of the bare direct sum,
-    in the ring of the tables.
+def _exact(value):
+    """The reduce argument of the sums for mpmath, which rounds as it goes."""
+    return value
 
-    t[a] = 2 sin(pi a/N), as _mp_tables builds it; reduce(v) is v in the
-    ring's canonical form. [n]^2 = (t_n / t_1)^2 and each colored Jones
-    factor pair is -t_{n+l} t_{n-l}, so the loop needs no division: the
-    caller divides by t_1^2 where it needs the bare sum. No row depends on
-    the framing.
+
+def _route_tables(N, t, zeta, y, route, reduce):
+    """(A, B, c, D) of route ("direct" or "double") in the ring of the
+    tables, with D times the bare sum equal to
+    sum_{n=1}^{N-1} c_n zeta^{p n^2} sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}.
+
+    t[a] = 2 sin(pi a/N), zeta[j] = zeta^j and y[k] = 1 - q^k, as
+    _mp_tables builds them; reduce(v) is v in the ring's canonical form.
+    With s_k = (-1)^{k(k-1)/2} and the prefix products S_k = prod_{a<=k} t_a
+    and (q)_k = prod_{j<=k} y_j, read forward by A and backward by B:
+      direct: A_k = s_{k-1} S_k, B_j = s_j S_{N-1-j}, c_n = t_n, D = t_1^2 N;
+      double: A_k = zeta^{-k^2} (q)_k, B_j = zeta^{1+2Nj-j^2} (q)_{N-1-j},
+              c_n = zeta^{-4n} - 1, D = N.
+    prod t_a = prod y_k = N over 0 < a, k < N, t_{N-a} = t_a and
+    y_{N-k} = -q^{-k} y_k give 1/S_j = S_M/N and 1/(q)_j =
+    (-1)^M q^{-M(M+1)/2} (q)_M/N, M = N-1-j, so no entry divides; the signs
+    follow from (-1)^m = s_{n+m-1} s_{n-m-1}, and the double sum's phases
+    from zeta^{-4nm} = zeta^{-(n+m)^2} zeta^{(n-m)^2}. Terms with n + m >= N
+    hold t_N = 0 or y_N = 0 and are left out. None depends on the framing.
     """
-    rows = []
-    for n in range(1, N):
-        prod = jsum = 1
-        for l in range(1, n):
-            prod = reduce(-prod * t[n + l] * t[n - l])
-            jsum += prod
-        rows.append(reduce(t[n] * t[n] * jsum))
-    return rows
+    order = 4 * N
+    factors = t if route == "direct" else y
+    prefix = [zeta[0].real]   # the empty product, 1 of the tables' ring
+    for k in range(1, N):
+        prefix.append(reduce(prefix[-1] * factors[k]))
+    if route == "direct":
+        def s(k):
+            return (-1) ** (k * (k - 1) // 2)
+        A = [s(k - 1) * P for k, P in enumerate(prefix)]
+        B = [s(j) * P for j, P in enumerate(reversed(prefix))]
+        c, D = t[:N], t[1] * t[1] * N
+    else:
+        A = [zeta[-k * k % order] * P for k, P in enumerate(prefix)]
+        B = [zeta[(1 + 2 * N * j - j * j) % order] * P
+             for j, P in enumerate(reversed(prefix))]
+        c, D = [zeta[-4 * n % order] - 1 for n in range(N)], N
+    return ([reduce(v) for v in A], [reduce(v) for v in B],
+            [reduce(v) for v in c], reduce(D))
 
 
-def _double_rows(N, y, zeta, reduce):
-    """The rows of the bare double sum, 1 <= n < N, in the ring of the
-    tables: sum_m (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1}) zeta^{-4nm-4n}.
-
-    y[k] = 1 - q^k and zeta[j] = zeta^j, zeta = exp(pi*i/(2N)). The
-    Pochhammer ratio is y_n prod_{j=n-m}^{n+m} y_j, so each step m
-    multiplies in y_{n+m} y_{n-m} and nothing is divided. n + m >= N
-    contributes exactly 0 via (q)_{n+m} = 0; skip it. No row depends on
-    the framing.
-    """
-    rows = []
-    for n in range(1, N):
-        ratio, row = 1, 0
-        for m in range(min(n, N - n)):
-            ratio = reduce(ratio * y[n + m] * y[n - m])
-            row += ratio * zeta[(-4 * n * m - 4 * n) % (4 * N)]
-        rows.append(reduce(row))
-    return rows
+def _rows(N, A, B, c, reduce):
+    """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
+    D times the bare sum, from the tables of _route_tables: each term is
+    one product of two table entries."""
+    return [reduce(c[n] * sum(map(operator.mul, A[n:], B[n - 1::-1])))
+            for n in range(1, N)]
 
 
 def _framed(N, p, rows, zeta, reduce):
@@ -343,22 +350,22 @@ def _field_tables(N, ell, r):
 
 
 def _field_image(ctx, p, route, field):
-    """Image in F_l, field = (l, r), under zeta -> r of route's rows times
-    the framing's phases: t_1^2, a unit, times the bare direct sum, or the
-    bare double sum. The field's tables and rows are kept on ctx, so a
-    further framing costs N terms.
+    """Image in F_l, field = (l, r), under zeta -> r of D times route's
+    bare sum, D of _route_tables: a unit of F_l, so the image vanishes
+    exactly when the sum's does. The field's tables and rows are kept on
+    ctx, so a further framing costs N terms.
     """
     N, (ell, r) = ctx.N, field
 
     def reduce(v):
         return v % ell
 
+    def rows():
+        A, B, c, _ = _route_tables(N, t, zeta, y, route, reduce)
+        return _rows(N, A, B, c, reduce)
+
     t, zeta, y = ctx._kept(field, _field_tables, N, ell, r)
-    if route == "direct":
-        rows = ctx._kept((route, field), _direct_rows, N, t, reduce)
-    else:
-        rows = ctx._kept((route, field), _double_rows, N, y, zeta, reduce)
-    return _framed(N, p, rows, zeta, reduce)
+    return _framed(N, p, ctx._kept((route, field), rows), zeta, reduce)
 
 
 def _certified_zero(ctx, p, route):
@@ -383,15 +390,15 @@ def _mp_tables(N, dps):
     """t_a = 2 sin(pi a/N) = 2 Im zeta^{2a}, zeta^j = exp(pi i j/(2N)) and
     y_k = 1 - q^k.
 
-    The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N);
-    the certificate runs the same loops over their images in F_l, and the
-    double sum divides nothing. _dd_tables builds the double-double tables
-    from them at _DD_DPS digits. Only zeta^j for 0 <= j <= N/2 calls
-    mp.expjpi; the rest of the table is exact part swaps and negations of
-    those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
-    made from their part tuples. Likewise only t_a and y_k for a, k <= N/2
-    are computed; the rest are the exact copies t_{N-a} = t_a,
-    t_{N+a} = -t_a and y_{N-k} = conj(y_k) that the filled zeta^j give.
+    The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N),
+    which it and _dd_tables, at _DD_DPS digits, pass to _route_tables; the
+    certificate passes their images in F_l (_field_tables). Only zeta^j for
+    0 <= j <= N/2 calls mp.expjpi; the rest of the table is exact part
+    swaps and negations of those entries, zeta^{N-j} = i conj(zeta^j) and
+    zeta^{j+N} = i zeta^j, made from their part tuples. Likewise only t_a
+    and y_k for a, k <= N/2 are computed; the rest are the exact copies
+    t_{N-a} = t_a, t_{N+a} = -t_a and y_{N-k} = conj(y_k) that the filled
+    zeta^j give.
     Call while holding _MP_LOCK.
     """
     half = N // 2
@@ -553,76 +560,43 @@ def _triangle_rows(N, terms):
 
 
 def _dd_tables(N):
-    """Double-double tables of both routes at order N, as (S, 1/S, c, A, B,
-    Y, zeta), built from _mp_tables(N, _DD_DPS).
+    """Double-double tables at order N: ({route: (A, B, c/D)}, zeta), the
+    tables of _route_tables over _mp_tables(N, _DD_DPS), split from their
+    _DD_DPS-digit values (real for the direct sum, complex for the double),
+    and zeta^j for 0 <= j < 4N.
 
-    The direct sum reads S_k = prod_{a=1}^{k} t_a, 1/S_k and c_k = t_k / t_1^2.
-    In the double sum, with i = n + m and j = n - m - 1, zeta^{-4nm} =
-    zeta^{-i^2} zeta^{(j+1)^2}, so its tables fold that in: A_i = (q)_i
-    zeta^{-i^2}, B_j = zeta^{(j+1)^2} / (q)_j and Y_n = y_n zeta^{-4n},
-    taken as zeta^{-4n} - 1, one subtraction.
-    Indices run over 0..N-1, except zeta^j (0 <= j < 4N), which both read.
     Only zeta^j for j < N is split; the other three quarters are the exact
     fill zeta^{j+N} = i zeta^j of the split parts, with 0.0 - v for the
     negated parts so that no -0.0 appears, as the split gives none.
-    None depends on the framing: round 1 builds its rows from them once
-    per context (_direct_rows_dd, _double_rows_dd) and takes only the
-    phases zeta^{p n^2} per framing.
     """
-    order = 4 * N
+    routes = {}
     with _MP_LOCK, mp.workdps(_DD_DPS):
         t, zeta, y = _mp_tables(N, _DD_DPS)
-        t1_squared = t[1] * t[1]
-        prefix, poch = [mp.mpf(1)], [mp.mpc(1)]
-        for k in range(1, N):
-            prefix.append(prefix[-1] * t[k])
-            poch.append(poch[-1] * y[k])
+        for route, split in (("direct", _dd_split),
+                             ("double", _dd_split_complex)):
+            A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+            routes[route] = split(A), split(B), split([v / D for v in c])
         quarters = [_dd_split_complex(zeta[:N])]
-        for _ in range(3):
-            re_hi, re_lo, im_hi, im_lo = quarters[-1]
-            quarters.append(np.array([0.0 - im_hi, 0.0 - im_lo, re_hi, re_lo]))
-        return (_dd_split(prefix), _dd_split([1 / v for v in prefix]),
-                _dd_split([v / t1_squared for v in t[:N]]),
-                _dd_split_complex([poch[i] * zeta[-i * i % order]
-                                   for i in range(N)]),
-                _dd_split_complex([zeta[(j + 1) ** 2 % order] / poch[j]
-                                   for j in range(N)]),
-                _dd_split_complex([zeta[-4 * k % order] - 1
-                                   for k in range(N)]),
-                np.concatenate(quarters, axis=1))
+    for _ in range(3):
+        re_hi, re_lo, im_hi, im_lo = quarters[-1]
+        quarters.append(np.array([0.0 - im_hi, 0.0 - im_lo, re_hi, re_lo]))
+    return routes, np.concatenate(quarters, axis=1)
 
 
-def _direct_rows_dd(N, tables):
-    """The rows c_n sum_l (-1)^l S_{n+l} / S_{n-l-1} of the bare direct sum
-    as a (2, N) array of double-doubles, and abs_sum, the summed moduli of
-    the sum's terms, from the tables of _dd_tables(N).
+def _rows_dd(N, A, B, c, mul):
+    """The rows c_n/D sum_m A_{n+m} B_{n-m-1} of a bare sum as
+    double-doubles, and abs_sum, the summed moduli of the sum's terms, from
+    one route's tables of _dd_tables(N); mul is _dd_mul for the real
+    direct tables and _dd_cmul for the complex double ones.
 
-    Term (n, l) of the inner sum is a fixed product of _dd_tables entries,
-    so no product is carried from step to step; the exact row sum is then
-    multiplied by c_n = t_n / t_1^2. A term of the sum is a row's term
-    times c_n zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum does not
-    depend on the framing.
+    Each exact row sum is multiplied by c_n/D. A term of the sum is a row's
+    term times c_n/D zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum does
+    not depend on the framing.
     """
-    S, S_inv, c, *_ = tables
-
-    def terms(n, l):
-        hi, lo = _dd_mul(S[:, n + l], S_inv[:, n - l - 1])
-        sign = 1.0 - 2.0 * (l & 1)
-        return sign * hi, sign * lo
-
-    rows, moduli = _triangle_rows(N, terms)
-    return (np.array(_dd_mul(rows, c)),
-            math.fsum((moduli * np.abs(c[0])).tolist()))
-
-
-def _double_rows_dd(N, tables):
-    """The rows Y_n sum_m A_{n+m} B_{n-m-1} of the bare double sum as a
-    (4, N) array of complex double-doubles, and abs_sum, as _direct_rows_dd."""
-    *_, A, B, Y, _ = tables
     rows, moduli = _triangle_rows(
-        N, lambda n, m: _dd_cmul(A[:, n + m], B[:, n - m - 1]))
-    return (np.array(_dd_cmul(rows, Y)),
-            math.fsum((moduli * np.hypot(Y[0], Y[2])).tolist()))
+        N, lambda n, m: mul(A[:, n + m], B[:, n - m - 1]))
+    scale = np.hypot.reduce(np.abs(c[::2]), axis=0)
+    return np.array(mul(rows, c)), math.fsum((moduli * scale).tolist())
 
 
 def _dd_total(z):
@@ -632,24 +606,24 @@ def _dd_total(z):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _round_one(ctx, p, rows_dd, times):
-    """(value, abs_sum) of the bare sum whose rows and abs_sum
-    rows_dd(N, tables) builds, both kept on ctx: the exact sum of
+def _round_one(ctx, p, route, mul, times):
+    """(value, abs_sum) of route's bare sum, from the rows and abs_sum of
+    _rows_dd with mul, both kept on ctx: the exact sum of
     times(rows, phases), the rows times the framing's phases zeta^{p n^2}
     in double-double, O(N) per framing. From N of about 2150 the row build
     overflows and the result is not finite: (nan, inf) where math.fsum
     raises on the overflowed terms.
     """
     try:
-        tables = ctx._kept(_dd_tables, _dd_tables, ctx.N)
-        rows, abs_sum = ctx._kept(rows_dd, rows_dd, ctx.N, tables)
-        return _dd_total(times(rows, _dd_phases(tables[-1], ctx.N, p))), abs_sum
+        routes, zeta = ctx._kept(_dd_tables, _dd_tables, ctx.N)
+        rows, abs_sum = ctx._kept(route, _rows_dd, ctx.N, *routes[route], mul)
+        return _dd_total(times(rows, _dd_phases(zeta, ctx.N, p))), abs_sum
     except (ValueError, OverflowError):
         return complex(math.nan, math.nan), math.inf
 
 
 def _direct_sum_f64(ctx, p):
-    """Round 1 of the bare direct sum, from the rows of _direct_rows_dd.
+    """Round 1 of the bare direct sum, from its real rows.
 
     The name is that of the float64 pass this round replaced:
     bench/tracing.py wraps it, and _double_sum_f64, as its kernels
@@ -660,27 +634,30 @@ def _direct_sum_f64(ctx, p):
         hi, lo = _dd_mul(rows, (phase[::2], phase[1::2]))
         return hi[0], lo[0], hi[1], lo[1]
 
-    return _round_one(ctx, p, _direct_rows_dd, times)
+    return _round_one(ctx, p, "direct", _dd_mul, times)
 
 
 def _double_sum_f64(ctx, p):
-    """Round 1 of the bare double sum, from the complex rows of
-    _double_rows_dd."""
-    return _round_one(ctx, p, _double_rows_dd, _dd_cmul)
+    """Round 1 of the bare double sum, from its complex rows."""
+    return _round_one(ctx, p, "double", _dd_cmul, _dd_cmul)
+
+
+def _replay(N, p, dps, route):
+    """route's bare sum at dps digits: _rows over _mp_tables(N, dps) times
+    the framing's phases, divided by D."""
+    with _MP_LOCK, mp.workdps(dps):
+        t, zeta, y = _mp_tables(N, dps)
+        A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+        rows = _rows(N, A, B, c, _exact)
+        return complex(_framed(N, p, rows, zeta, _exact) / D)
 
 
 def _direct_sum_mp(N, p, dps):
-    with _MP_LOCK, mp.workdps(dps):
-        t, zeta, _ = _mp_tables(N, dps)
-        rows = _direct_rows(N, t, lambda v: v)
-        return complex(_framed(N, p, rows, zeta, lambda v: v) / (t[1] * t[1]))
+    return _replay(N, p, dps, "direct")
 
 
 def _double_sum_mp(N, p, dps):
-    with _MP_LOCK, mp.workdps(dps):
-        _, zeta, y = _mp_tables(N, dps)
-        rows = _double_rows(N, y, zeta, lambda v: v)
-        return complex(_framed(N, p, rows, zeta, lambda v: v))
+    return _replay(N, p, dps, "double")
 
 
 def wrt_direct(ctx, p):

@@ -135,6 +135,20 @@ class TestOlimCommand:
         assert any(r["matched"] == "true" for r in rows)
 
 
+    @pytest.mark.parametrize("content", [None, b"p,vol,cs\n5,\xff\xfe,0.07\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_refs_file(self, tmp_path, capsys, content):
+        # a domain error: exit status 1 and one error line naming the path
+        refs = tmp_path / "refs.csv"
+        if content is not None:
+            refs.write_bytes(content)
+        code, out, err = _run(["olim", "--p", "6", "--refs", str(refs)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(refs) in err
+        assert err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_rows_roundtrip(self, capsys):
         code, out, _ = _run(["sweep", "--start", "6", "--step", "4",
@@ -224,6 +238,17 @@ class TestOutputTarget:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8") == stdout_text
+
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "special.csv"
+        code, out, err = _run(["special", "--fn", "b2", "--arg", "0.25",
+                               "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert err.count("\n") == 1
+        assert not target.exists()
 
 
 class TestUsageErrors:

@@ -4,7 +4,8 @@ tau_5(M_1) is pinned from a 50-digit fixed-order replay of the direct sum;
 everything else rests on exact identities (color symmetry, the J_N
 positivity identity, the Pochhammer magnitude product), on the agreement
 of the two independent evaluation routes, and on the replay and the zero
-certificate evaluating one element of Z[zeta_{4N}].
+certificate evaluating one element of Z[zeta_{4N}]: the one that the
+step-by-step statement of each sum, kept here as the oracle, gives.
 """
 
 import cmath
@@ -468,7 +469,7 @@ class TestStatePerContext:
     def test_certificate_built_once_per_field(self, monkeypatch):
         orders = (33, 35, 37)
         builds = {name: counted(monkeypatch, name)
-                  for name in ("_field_tables", "_direct_rows", "_double_rows")}
+                  for name in ("_field_tables", "_route_tables", "_rows")}
         contexts = [RootOfUnityContext(N) for N in orders]
         for p in (2, 6, 10):
             for ctx in contexts:
@@ -477,9 +478,14 @@ class TestStatePerContext:
         fields = {N: qi._certificate_fields(N) for N in orders}
         assert sorted(builds["_field_tables"]) == sorted(
             (N, ell, r) for N in orders for ell, r in fields[N])
-        for name in ("_direct_rows", "_double_rows"):
-            assert sorted(args[0] for args in builds[name]) == sorted(
-                N for N in orders for _ in fields[N]), name
+        # one row set per (field, route) and context; round 1 builds its
+        # own tables with _route_tables over mpmath (reduce _exact)
+        per_field = sorted((N, route) for N in orders for _ in fields[N]
+                           for route in ("direct", "double"))
+        assert sorted((args[0], args[4]) for args in builds["_route_tables"]
+                      if args[5] is not qi._exact) == per_field
+        assert sorted(args[0] for args in builds["_rows"]) == \
+            [N for N, _ in per_field]
 
     def test_threads_share_one_context(self):
         # threads racing on one context may each build a set; every value
@@ -547,15 +553,14 @@ class TestFiniteFieldImage:
         # build each field's tables once and each (field, route) row list
         # once; the sum loops leave the kept tables and rows as built
         builds = {name: counted(monkeypatch, name)
-                  for name in ("_field_tables", "_direct_rows", "_double_rows")}
+                  for name in ("_field_tables", "_rows")}
         ctx = RootOfUnityContext(37)
         for p in (2, 6, 10):
             assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
         fields = qi._certificate_fields(37)
         assert sorted(builds["_field_tables"]) == \
             sorted((37, ell, r) for ell, r in fields)
-        assert len(builds["_direct_rows"]) == len(builds["_double_rows"]) \
-            == len(fields)
+        assert len(builds["_rows"]) == 2 * len(fields)
         fresh = RootOfUnityContext(37)
         for field in fields:
             for route in ("direct", "double"):
@@ -578,12 +583,54 @@ def unreduced(value):
     return value
 
 
+def step_direct_rows(N, t, reduce):
+    """t_1^2 times the rows [n]^2 J_n, 1 <= n < N, of the bare direct sum,
+    step by step: [n]^2 = (t_n / t_1)^2 and each colored Jones factor
+    pair is -t_{n+l} t_{n-l}."""
+    rows = []
+    for n in range(1, N):
+        prod = jsum = 1
+        for l in range(1, n):
+            prod = reduce(-prod * t[n + l] * t[n - l])
+            jsum += prod
+        rows.append(reduce(t[n] * t[n] * jsum))
+    return rows
+
+
+def step_double_rows(N, y, zeta, reduce):
+    """The rows sum_m (q)_n (q)_{n+m} / ((q)_{n-1} (q)_{n-m-1})
+    zeta^{-4nm-4n}, 1 <= n < N, of the bare double sum, step by step: the
+    Pochhammer ratio is y_n prod_{j=n-m}^{n+m} y_j, and n + m >= N adds
+    exactly 0 via (q)_{n+m} = 0."""
+    rows = []
+    for n in range(1, N):
+        ratio, row = 1, 0
+        for m in range(min(n, N - n)):
+            ratio = reduce(ratio * y[n + m] * y[n - m])
+            row += ratio * zeta[(-4 * n * m - 4 * n) % (4 * N)]
+        rows.append(reduce(row))
+    return rows
+
+
 def ring_sums(N, p, t, zeta, y, reduce):
     """t_1^2 times the bare direct sum and the bare double sum in the ring
-    of the tables: each route's rows times the framing's phases, as the
-    replay and the certificate take them."""
-    return (qi._framed(N, p, qi._direct_rows(N, t, reduce), zeta, reduce),
-            qi._framed(N, p, qi._double_rows(N, y, zeta, reduce), zeta, reduce))
+    of the tables, from the step-by-step rows: the independent statement
+    of both sums that the package's tables are tested against. N times
+    each is D times the bare sum of _route_tables."""
+    return (qi._framed(N, p, step_direct_rows(N, t, reduce), zeta, reduce),
+            qi._framed(N, p, step_double_rows(N, y, zeta, reduce), zeta,
+                       reduce))
+
+
+def route_sums(N, p, t, zeta, y, reduce):
+    """(D times the bare sum, D) of each route, as the package takes them:
+    the rows of _route_tables' tables times the framing's phases."""
+    sums = []
+    for route in ("direct", "double"):
+        A, B, c, D = qi._route_tables(N, t, zeta, y, route, reduce)
+        sums.append((qi._framed(N, p, qi._rows(N, A, B, c, reduce), zeta,
+                                reduce), D))
+    return sums
 
 
 class Cyclotomic:
@@ -639,7 +686,8 @@ class Cyclotomic:
 
 
 class TestOneElementOfZZeta:
-    """The replay and the certificate run one loop on one element."""
+    """The step-by-step sums, the replay and the certificate evaluate one
+    element."""
 
     CASES = [(3, 1), (3, 2), (5, 1), (5, 2), (5, -3), (7, 4), (7, -1)]
 
@@ -657,14 +705,22 @@ class TestOneElementOfZZeta:
         return ring_sums(N, p, t, x, y, unreduced)
 
     def test_certificate_is_the_image(self):
+        # the step-by-step sums in F_l are the images of the exact ones,
+        # and the certificate's, of D times the bare sum, are N times them
         for N, p in self.CASES:
             direct, double = self.exact_sums(N, p)
             ctx = RootOfUnityContext(N)
             for ell, r in qi._certificate_fields(N):
                 field = (ell, r)
-                assert direct.at(r) % ell == \
+
+                def mod(v):
+                    return v % ell
+
+                steps = ring_sums(N, p, *qi._field_tables(N, ell, r), mod)
+                assert steps == (direct.at(r) % ell, double.at(r) % ell)
+                assert N * steps[0] % ell == \
                     qi._field_image(ctx, p, "direct", field)
-                assert double.at(r) % ell == \
+                assert N * steps[1] % ell == \
                     qi._field_image(ctx, p, "double", field)
         # (5, 2) is a certified zero of both routes
         ctx = RootOfUnityContext(5)
@@ -682,23 +738,40 @@ class TestOneElementOfZZeta:
                                                          unreduced)
                 assert abs(direct.at(root) - replay_direct) < 1e-45
                 assert abs(double.at(root) - replay_double) < 1e-45
-                bare = complex(direct.at(root) / (t[1] * t[1]))
+                (new_direct, D_direct), (new_double, D_double) = route_sums(
+                    N, p, t, zeta, y, qi._exact)
+                bare = direct.at(root) / (t[1] * t[1])
+                assert abs(new_direct / D_direct - bare) < 1e-45, (N, p)
+                assert abs(new_double / D_double - double.at(root)) < 1e-45
+                bare = complex(bare)
             # one rounding to f64; the zeros are 50-digit noise
             replay = qi._direct_sum_mp(N, p, 50)
             assert abs(replay - bare) <= 1e-15 * abs(bare) + 1e-45, (N, p)
 
     def test_pochhammer_magnitude_product(self):
-        # prod_{k=1}^{N-1} (1 - q^k) = N on the tables the loops read
+        # the identities _route_tables rests on, on the tables it reads:
+        # prod_{k=1}^{N-1} (1 - q^k) = prod_{a=1}^{N-1} t_a = N,
+        # t_{N-a} = t_a and y_{N-k} = -q^{-k} y_k, q^{-k} = zeta^{-4k}
         for N in (5, 12, 33):
+            order = 4 * N
             for ell, r in qi._certificate_fields(N):
-                _, _, y = qi._field_tables(N, ell, r)
-                prod = 1
+                t, zeta, y = qi._field_tables(N, ell, r)
+                prod_y = prod_t = 1
                 for k in range(1, N):
-                    prod = prod * y[k] % ell
-                assert prod == N
+                    prod_y = prod_y * y[k] % ell
+                    prod_t = prod_t * t[k] % ell
+                assert prod_y == prod_t == N
+                for k in range(1, N):
+                    assert t[N - k] == t[k], (N, k)
+                    assert y[N - k] == -zeta[-4 * k % order] * y[k] % ell
             with qi._MP_LOCK, mp.workdps(50):
-                _, _, y = qi._mp_tables(N, 50)
+                t, zeta, y = qi._mp_tables(N, 50)
                 assert abs(mp.fprod(y[1:]) - N) < 1e-45 * N
+                assert abs(mp.fprod(t[1:N]) - N) < 1e-45 * N
+                for k in range(1, N):
+                    assert abs(t[N - k] - t[k]) < 1e-45, (N, k)
+                    assert abs(y[N - k] + zeta[-4 * k % order] * y[k]) \
+                        < 1e-45, (N, k)
 
 
 def loop_direct_sum(N, p, t, zeta, reduce):
@@ -743,21 +816,21 @@ def triangle_direct_sum_dd(N, p, tables):
     """The direct double-double round with each term multiplied out by its
     framing's phase over the whole triangle, from the tables of
     _dd_tables(N)."""
-    S, S_inv, c, *_, zeta = tables
+    routes, zeta = tables
+    A, B, c = routes["direct"]
     phase = qi._dd_phases(zeta, N, p)
     coef = np.array([*qi._dd_mul(c, phase[:2]), *qi._dd_mul(c, phase[2:])])
-    n, l = triangle_indices(N)
-    hi, lo = qi._dd_mul(S[:, n + l], S_inv[:, n - l - 1])
-    sign = 1.0 - 2.0 * (l & 1)
-    ratio = (sign * hi, sign * lo)
-    return triangle_sum_dd((*qi._dd_mul(ratio, coef[:2, n]),
-                            *qi._dd_mul(ratio, coef[2:, n])))
+    n, m = triangle_indices(N)
+    product = qi._dd_mul(A[:, n + m], B[:, n - m - 1])
+    return triangle_sum_dd((*qi._dd_mul(product, coef[:2, n]),
+                            *qi._dd_mul(product, coef[2:, n])))
 
 
 def triangle_double_sum_dd(N, p, tables):
     """The double double-double round, multiplied out as the direct one."""
-    *_, A, B, Y, zeta = tables
-    coef = np.array(qi._dd_cmul(Y, qi._dd_phases(zeta, N, p)))
+    routes, zeta = tables
+    A, B, c = routes["double"]
+    coef = np.array(qi._dd_cmul(c, qi._dd_phases(zeta, N, p)))
     n, m = triangle_indices(N)
     return triangle_sum_dd(qi._dd_cmul(
         qi._dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]))
@@ -778,24 +851,31 @@ class TestRowsTimesPhases:
                 def mod(v):
                     return v % ell
 
+                # the image is of D times the bare sum, N times the loop's
                 assert qi._field_image(ctx, p, "direct", (ell, r)) == \
-                    loop_direct_sum(N, p, t, zeta, mod), (N, p)
+                    N * loop_direct_sum(N, p, t, zeta, mod) % ell, (N, p)
                 assert qi._field_image(ctx, p, "double", (ell, r)) == \
-                    loop_double_sum(N, p, y, zeta, mod), (N, p)
+                    N * loop_double_sum(N, p, y, zeta, mod) % ell, (N, p)
 
     def test_replay_equals_the_loops(self):
-        # the direct loop already took each row once times its phase, so
-        # its arithmetic is unchanged; the double loop now multiplies each
-        # row by its phase once, which moves only the 50-digit rounding of
-        # terms that reach the summed magnitude abs_sum
+        # the step rows, and the replay's tables and rows divided by D,
+        # move only the 50-digit rounding of terms that reach the summed
+        # magnitude abs_sum of the bare sum
         for N, p in self.CASES:
-            _, abs_sum = qi._double_sum_f64(RootOfUnityContext(N), p)
+            ctx = RootOfUnityContext(N)
+            bounds = [1e-45 * max(fn(ctx, p)[1], 1.0)
+                      for fn in (qi._direct_sum_f64, qi._double_sum_f64)]
             with qi._MP_LOCK, mp.workdps(50):
                 t, zeta, y = qi._mp_tables(N, 50)
+                loops = (loop_direct_sum(N, p, t, zeta, unreduced),
+                         loop_double_sum(N, p, y, zeta, unreduced))
                 direct, double = ring_sums(N, p, t, zeta, y, unreduced)
-                assert direct == loop_direct_sum(N, p, t, zeta, unreduced), (N, p)
-                assert abs(double - loop_double_sum(N, p, y, zeta, unreduced)) \
-                    < 1e-45 * max(abs_sum, 1.0), (N, p)
+                assert direct == loops[0], (N, p)
+                assert abs(double - loops[1]) < bounds[1], (N, p)
+                bare = (loops[0] / (t[1] * t[1]), loops[1])
+                for (value, D), loop, bound in zip(
+                        route_sums(N, p, t, zeta, y, qi._exact), bare, bounds):
+                    assert abs(value / D - loop) < bound, (N, p)
 
     def test_dd_rounds_equal_the_whole_triangle(self):
         # abs_sum is summed once per order, without the framing's phases
@@ -829,24 +909,32 @@ def full_mp_tables(N, dps):
 
 
 def full_dd_tables(N):
-    """_dd_tables from full_mp_tables, with t_1^2 formed per entry,
-    Y_k = y_k zeta^{-4k} as a product and the whole 4N zeta table split."""
+    """_dd_tables from full_mp_tables, in the formulas of _route_tables
+    written out: s_k = (-1)^{k(k-1)/2}, M = N-1-j, B_j of the double sum
+    as zeta^{(j+1)^2 + 2NM - 2M(M+1)} (q)_M, and the whole 4N zeta table
+    split."""
     order = 4 * N
+
+    def s(k):
+        return (-1) ** (k * (k - 1) // 2)
+
     with qi._MP_LOCK, mp.workdps(qi._DD_DPS):
         t, zeta, y = full_mp_tables(N, qi._DD_DPS)
-        prefix, poch = [mp.mpf(1)], [mp.mpc(1)]
+        S, poch = [mp.mpf(1)], [mp.mpc(1)]
         for k in range(1, N):
-            prefix.append(prefix[-1] * t[k])
+            S.append(S[-1] * t[k])
             poch.append(poch[-1] * y[k])
-        return (qi._dd_split(prefix), qi._dd_split([1 / v for v in prefix]),
-                qi._dd_split([v / (t[1] * t[1]) for v in t[:N]]),
-                qi._dd_split_complex([poch[i] * zeta[-i * i % order]
-                                      for i in range(N)]),
-                qi._dd_split_complex([zeta[(j + 1) ** 2 % order] / poch[j]
-                                      for j in range(N)]),
-                qi._dd_split_complex([y[k] * zeta[-4 * k % order]
-                                      for k in range(N)]),
-                qi._dd_split_complex(zeta))
+        backward = [(j, N - 1 - j) for j in range(N)]
+        direct = ([s(k - 1) * S[k] for k in range(N)],
+                  [s(j) * S[M] for j, M in backward],
+                  [v / (t[1] * t[1] * N) for v in t[:N]])
+        double = ([zeta[-i * i % order] * poch[i] for i in range(N)],
+                  [zeta[((j + 1) ** 2 + 2 * N * M - 2 * M * (M + 1)) % order]
+                   * poch[M] for j, M in backward],
+                  [(zeta[-4 * n % order] - 1) / N for n in range(N)])
+        return ([qi._dd_split(v) for v in direct]
+                + [qi._dd_split_complex(v) for v in double]
+                + [qi._dd_split_complex(zeta)])
 
 
 def all_divisor_fields(N):
@@ -893,7 +981,8 @@ class TestTableBuilds:
     def test_dd_tables(self):
         # tobytes, so that the sign of every zero counts
         for N in [*range(3, 201), 333, 520, 1000]:
-            tables = qi._dd_tables(N)
+            routes, zeta = qi._dd_tables(N)
+            tables = [*routes["direct"], *routes["double"], zeta]
             full = full_dd_tables(N)
             assert len(tables) == len(full) == 7
             for k, (table, expected) in enumerate(zip(tables, full)):
@@ -964,18 +1053,16 @@ class TestStackedProducts:
         return qi._dd_total(times), abs_sum
 
     @pytest.mark.parametrize("N", [*range(3, 97), 520])
-    def test_round_one(self, N, monkeypatch):
+    def test_round_one(self, N):
         # at N = 520 the triangle's rows are built in two blocks
         framings = range(-40, 41) if N < 97 else (-7, 6, 40)
-        ctx, tables = RootOfUnityContext(N), qi._dd_tables(N)
-        for route in ("direct", "double"):
+        ctx, (routes, zeta) = RootOfUnityContext(N), qi._dd_tables(N)
+        for route, mul in (("direct", qi._dd_mul), ("double", unstacked_cmul)):
             round_one = getattr(qi, f"_{route}_sum_f64")
-            with monkeypatch.context() as patch:
-                patch.setattr(qi, "_dd_cmul", unstacked_cmul)
-                rows = getattr(qi, f"_{route}_rows_dd")(N, tables)
+            rows = qi._rows_dd(N, *routes[route], mul)
             for p in framings:
                 assert repr(round_one(ctx, p)) == repr(self.unstacked_round_one(
-                    N, p, route, rows, tables[-1])), (route, N, p)
+                    N, p, route, rows, zeta)), (route, N, p)
 
 
 class TestFormulaDiscrepancy:
