@@ -49,6 +49,14 @@ and at the round cap raises PrecisionExhaustedError instead of returning
 rounding noise. Every table and row set built per order, of round 1 and
 the certificate, is kept on the caller's RootOfUnityContext, so a further
 framing costs O(N). Public functions return Python complex.
+
+Precision lives on the tables: _mp_tables builds each in a private mpmath
+context at its digits (_mp_context), so all arithmetic on their entries
+runs at that precision wherever it is called, and no code here reads or
+sets mpmath's global precision. The one lock, _MP_LOCK, covers only
+_mp_tables' transcendental calls, because mpmath memoizes pi in shared
+state without a lock. Threads may call any public function, also while
+they change mpmath's precision themselves.
 """
 
 import cmath
@@ -86,8 +94,8 @@ _CERTIFICATE_PRIMES = 2
 _DD_DPS = 40               # digits of the mpmath pass building the DD tables
 _DD_NOISE_PER_UNIT = 2.0 ** -104   # DD noise per unit of abs_sum and of N
 _DD_BLOCK = 1 << 16        # terms per vectorised block of the DD row build
-# mpmath precision state is process-global, and library callers may run
-# wrt_direct / wrt_double_sum from several threads; serialize the replays.
+# mpmath memoizes pi in shared state without a lock; _mp_tables holds this
+# around its expjpi calls, the package's only transcendental ones.
 _MP_LOCK = threading.Lock()
 
 
@@ -97,8 +105,8 @@ class RootOfUnityContext:
     It also keeps, as long as it lives, what tau evaluations build once
     per order, each set on first use: round 1's tables and rows, and the
     zero certificate's fields with their F_l tables and rows. Shareable
-    across threads: two threads that race on one set may each build it,
-    and the builds agree.
+    across threads without a lock: two threads that race on one set may
+    each build it, and the builds agree.
     """
 
     __slots__ = ("N", "q", "_state")
@@ -344,7 +352,7 @@ def _field_tables(N, ell, r):
     for _ in range(order - 1):
         zeta.append(zeta[-1] * r % ell)
     t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
-         for a in range(2 * N)]
+         for a in range(N)]
     y = [(1 - zeta[4 * k]) % ell for k in range(N)]
     return t, zeta, y
 
@@ -386,34 +394,42 @@ def _certified_zero(ctx, p, route):
 
 
 @lru_cache(maxsize=8)
+def _mp_context(dps):
+    """A private mpmath context at dps digits: its numbers compute at its
+    precision wherever they are used."""
+    context = mp.MPContext()
+    context.dps = dps
+    return context
+
+
+@lru_cache(maxsize=8)
 def _mp_tables(N, dps):
     """t_a = 2 sin(pi a/N) = 2 Im zeta^{2a}, zeta^j = exp(pi i j/(2N)) and
     y_k = 1 - q^k.
 
-    The replay's tables at dps digits (0 <= a < 2N, 0 <= j < 4N, 0 <= k < N),
-    which it and _dd_tables, at _DD_DPS digits, pass to _route_tables; the
-    certificate passes their images in F_l (_field_tables). Only zeta^j for
-    0 <= j <= N/2 calls mp.expjpi; the rest of the table is exact part
-    swaps and negations of those entries, zeta^{N-j} = i conj(zeta^j) and
-    zeta^{j+N} = i zeta^j, made from their part tuples. Likewise only t_a
-    and y_k for a, k <= N/2 are computed; the rest are the exact copies
-    t_{N-a} = t_a, t_{N+a} = -t_a and y_{N-k} = conj(y_k) that the filled
-    zeta^j give.
-    Call while holding _MP_LOCK.
+    The replay's tables (0 <= a, k < N, 0 <= j < 4N), built in
+    _mp_context(dps); the replay and _dd_tables, at _DD_DPS digits, pass
+    them to _route_tables, and the certificate passes their images in F_l
+    (_field_tables). Only zeta^j for 0 <= j <= N/2 calls expjpi, under
+    _MP_LOCK; the rest of the table is exact part swaps and negations of
+    those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
+    made from their part tuples. Likewise only t_a and y_k for a, k <= N/2
+    are computed; the rest are the exact copies t_{N-a} = t_a and
+    y_{N-k} = conj(y_k) that the filled zeta^j give.
     """
-    half = N // 2
-    with mp.workdps(dps):
-        zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(half + 1)]
-        parts = [z._mpc_ for z in zeta]
-        parts += [(im, re) for re, im in parts[(N - 1) // 2:0:-1]]
-        for _ in range(3):
-            parts += [(mp.libmp.mpf_neg(im), re) for re, im in parts[-N:]]
-        zeta += [mp.mp.make_mpc(z) for z in parts[half + 1:]]
-        t = [2 * zeta[2 * a].imag for a in range(half + 1)]
-        t += t[(N - 1) // 2:0:-1]
-        t += [-v for v in t]
-        y = [1 - zeta[4 * k] for k in range(half + 1)]
-        y += [v.conjugate() for v in y[(N - 1) // 2:0:-1]]
+    context, half = _mp_context(dps), N // 2
+    with _MP_LOCK:
+        zeta = [context.expjpi(context.mpf(j) / (2 * N))
+                for j in range(half + 1)]
+    parts = [z._mpc_ for z in zeta]
+    parts += [(im, re) for re, im in parts[(N - 1) // 2:0:-1]]
+    for _ in range(3):
+        parts += [(mp.libmp.mpf_neg(im), re) for re, im in parts[-N:]]
+    zeta += [context.make_mpc(z) for z in parts[half + 1:]]
+    t = [2 * zeta[2 * a].imag for a in range(half + 1)]
+    t += t[(N - 1) // 2:0:-1]
+    y = [1 - zeta[4 * k] for k in range(half + 1)]
+    y += [v.conjugate() for v in y[(N - 1) // 2:0:-1]]
     return t, zeta, y
 
 
@@ -570,13 +586,11 @@ def _dd_tables(N):
     negated parts so that no -0.0 appears, as the split gives none.
     """
     routes = {}
-    with _MP_LOCK, mp.workdps(_DD_DPS):
-        t, zeta, y = _mp_tables(N, _DD_DPS)
-        for route, split in (("direct", _dd_split),
-                             ("double", _dd_split_complex)):
-            A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
-            routes[route] = split(A), split(B), split([v / D for v in c])
-        quarters = [_dd_split_complex(zeta[:N])]
+    t, zeta, y = _mp_tables(N, _DD_DPS)
+    for route, split in (("direct", _dd_split), ("double", _dd_split_complex)):
+        A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+        routes[route] = split(A), split(B), split([v / D for v in c])
+    quarters = [_dd_split_complex(zeta[:N])]
     for _ in range(3):
         re_hi, re_lo, im_hi, im_lo = quarters[-1]
         quarters.append(np.array([0.0 - im_hi, 0.0 - im_lo, re_hi, re_lo]))
@@ -645,11 +659,10 @@ def _double_sum_f64(ctx, p):
 def _replay(N, p, dps, route):
     """route's bare sum at dps digits: _rows over _mp_tables(N, dps) times
     the framing's phases, divided by D."""
-    with _MP_LOCK, mp.workdps(dps):
-        t, zeta, y = _mp_tables(N, dps)
-        A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
-        rows = _rows(N, A, B, c, _exact)
-        return complex(_framed(N, p, rows, zeta, _exact) / D)
+    t, zeta, y = _mp_tables(N, dps)
+    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+    rows = _rows(N, A, B, c, _exact)
+    return complex(_framed(N, p, rows, zeta, _exact) / D)
 
 
 def _direct_sum_mp(N, p, dps):

@@ -319,7 +319,7 @@ class TestDoubleDoubleSplit:
             self.check(values)
 
     def test_table_entries(self):
-        with qi._MP_LOCK, mp.workdps(qi._DD_DPS):
+        with mp.workdps(qi._DD_DPS):
             t, zeta, _ = qi._mp_tables(37, qi._DD_DPS)
             self.check(t + [1 / v for v in t[1:37]]
                        + [z.real for z in zeta] + [z.imag for z in zeta])
@@ -332,7 +332,7 @@ class TestZetaTable:
     @pytest.mark.parametrize("dps", [40, 100])
     @pytest.mark.parametrize("N", [3, 4, 5, 36, 37, 97])
     def test_filled_entries(self, N, dps):
-        with qi._MP_LOCK, mp.workdps(dps):
+        with mp.workdps(dps):
             _, zeta, _ = qi._mp_tables(N, dps)
             assert len(zeta) == 4 * N
             for j in range(3 * N):   # zeta^{j+N} = i zeta^j
@@ -348,14 +348,14 @@ class TestZetaTable:
     @pytest.mark.parametrize("N", [3, 4, 37, 96])
     def test_transcendental_calls(self, N, monkeypatch):
         calls = []
+        context = qi._mp_context(30)
 
         def expjpi(x):
             calls.append(x)
-            return mp.mpc(mp.cospi(x), mp.sinpi(x))
+            return context.mpc(context.cospi(x), context.sinpi(x))
 
-        monkeypatch.setattr(qi.mp, "expjpi", expjpi)
-        with qi._MP_LOCK:
-            qi._mp_tables.__wrapped__(N, 30)   # past the cache
+        monkeypatch.setattr(context, "expjpi", expjpi)
+        qi._mp_tables.__wrapped__(N, 30)   # past the cache
         assert len(calls) == N // 2 + 1
 
 
@@ -516,6 +516,94 @@ class TestStatePerContext:
         assert len(results) == 4 * len(framings)
         for p, direct, double in results:
             assert (direct, double) == expected[p], p
+
+
+class TestPrecisionOnTheTables:
+    """The mpmath tables carry their own precision, so no other thread's
+    use of mpmath's global precision reaches a tau evaluation, and no
+    evaluation changes it."""
+
+    # replay range: round 1 misses the budget at each
+    CASES = [(200, 6), (150, 7), (130, 9)]
+
+    @staticmethod
+    def both_routes(N, p):
+        """Both routes at (N, p) from a fresh context and a cleared
+        _mp_tables cache, so that every table is built again."""
+        qi._mp_tables.cache_clear()
+        ctx = RootOfUnityContext(N)
+        return wrt_direct(ctx, p), wrt_double_sum(ctx, p)
+
+    @staticmethod
+    def alongside(step, work):
+        """work(), while a thread calls step() over and over until work
+        returns, under a short switch interval; the thread is joined with a
+        timeout, so a hang fails instead of blocking the run."""
+        stop = threading.Event()
+
+        def loop():
+            while not stop.is_set():
+                step()
+
+        thread = threading.Thread(target=loop)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread.start()
+        try:
+            result = work()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        return result
+
+    def test_caller_thread_changes_precision(self):
+        expected = [self.both_routes(N, p) for N, p in self.CASES]
+
+        def caller():
+            with mp.workdps(15):
+                mp.mpf(1) / 3
+
+        values = self.alongside(
+            caller, lambda: [self.both_routes(N, p) for N, p in self.CASES])
+        assert values == expected
+
+    def test_precision_seen_by_another_thread(self):
+        seen = set()
+        qi._mp_tables.cache_clear()
+        self.alongside(lambda: seen.add(mp.mp.prec),
+                       lambda: wrt_direct(RootOfUnityContext(200), 6))
+        assert seen == {53}
+
+    def test_concurrent_replays(self, monkeypatch):
+        pairs = [(125, 3), (131, 5), (140, 6), (150, 7)]
+        expected = {pair: self.both_routes(*pair) for pair in pairs}
+        replays = counted(monkeypatch, "_replay")
+        qi._mp_tables.cache_clear()
+        results = []
+
+        def work(shift):
+            for N, p in pairs[shift:] + pairs[:shift]:
+                ctx = RootOfUnityContext(N)
+                results.append(((N, p), (wrt_direct(ctx, p),
+                                         wrt_double_sum(ctx, p))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(shift,))
+                       for shift in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(replays) >= 2 * len(results) == 8 * len(pairs)
+        for pair, values in results:
+            assert values == expected[pair], pair
 
 
 class TestFiniteFieldImage:
@@ -716,7 +804,7 @@ class TestOneElementOfZZeta:
                 def mod(v):
                     return v % ell
 
-                steps = ring_sums(N, p, *qi._field_tables(N, ell, r), mod)
+                steps = ring_sums(N, p, *pow_field_tables(N, ell, r), mod)
                 assert steps == (direct.at(r) % ell, double.at(r) % ell)
                 assert N * steps[0] % ell == \
                     qi._field_image(ctx, p, "direct", field)
@@ -731,8 +819,8 @@ class TestOneElementOfZZeta:
     def test_replay_is_the_complex_value(self):
         for N, p in self.CASES:
             direct, double = self.exact_sums(N, p)
-            with qi._MP_LOCK, mp.workdps(50):
-                t, zeta, y = qi._mp_tables(N, 50)
+            with mp.workdps(50):
+                t, zeta, y = full_mp_tables(N, 50)
                 root = mp.expjpi(mp.mpf(1) / (2 * N))
                 replay_direct, replay_double = ring_sums(N, p, t, zeta, y,
                                                          unreduced)
@@ -764,7 +852,7 @@ class TestOneElementOfZZeta:
                 for k in range(1, N):
                     assert t[N - k] == t[k], (N, k)
                     assert y[N - k] == -zeta[-4 * k % order] * y[k] % ell
-            with qi._MP_LOCK, mp.workdps(50):
+            with mp.workdps(50):
                 t, zeta, y = qi._mp_tables(N, 50)
                 assert abs(mp.fprod(y[1:]) - N) < 1e-45 * N
                 assert abs(mp.fprod(t[1:N]) - N) < 1e-45 * N
@@ -846,7 +934,7 @@ class TestRowsTimesPhases:
         for N, p in self.CASES:
             ctx = RootOfUnityContext(N)
             for ell, r in qi._certificate_fields(N):
-                t, zeta, y = qi._field_tables(N, ell, r)
+                t, zeta, y = pow_field_tables(N, ell, r)
 
                 def mod(v):
                     return v % ell
@@ -865,8 +953,8 @@ class TestRowsTimesPhases:
             ctx = RootOfUnityContext(N)
             bounds = [1e-45 * max(fn(ctx, p)[1], 1.0)
                       for fn in (qi._direct_sum_f64, qi._double_sum_f64)]
-            with qi._MP_LOCK, mp.workdps(50):
-                t, zeta, y = qi._mp_tables(N, 50)
+            with mp.workdps(50):
+                t, zeta, y = full_mp_tables(N, 50)
                 loops = (loop_direct_sum(N, p, t, zeta, unreduced),
                          loop_double_sum(N, p, y, zeta, unreduced))
                 direct, double = ring_sums(N, p, t, zeta, y, unreduced)
@@ -897,7 +985,8 @@ class TestRowsTimesPhases:
 
 def full_mp_tables(N, dps):
     """_mp_tables with t_a and y_k computed at every index and the filled
-    zeta^j made by mp.mpc from the parts of their source entries."""
+    zeta^j made by mp.mpc from the parts of their source entries; t_a runs
+    over 0 <= a < 2N, as the step-by-step oracle reads it."""
     with mp.workdps(dps):
         zeta = [mp.expjpi(mp.mpf(j) / (2 * N)) for j in range(N // 2 + 1)]
         zeta += [mp.mpc(z.imag, z.real) for z in zeta[(N - 1) // 2:0:-1]]
@@ -918,7 +1007,7 @@ def full_dd_tables(N):
     def s(k):
         return (-1) ** (k * (k - 1) // 2)
 
-    with qi._MP_LOCK, mp.workdps(qi._DD_DPS):
+    with mp.workdps(qi._DD_DPS):
         t, zeta, y = full_mp_tables(N, qi._DD_DPS)
         S, poch = [mp.mpf(1)], [mp.mpc(1)]
         for k in range(1, N):
@@ -957,7 +1046,8 @@ def all_divisor_fields(N):
 
 
 def pow_field_tables(N, ell, r):
-    """_field_tables with zeta^j = pow(r, j, ell) at every j."""
+    """_field_tables with zeta^j = pow(r, j, ell) at every j, and t_a over
+    0 <= a < 2N, as the step-by-step oracle reads it."""
     order = 4 * N
     zeta = [pow(r, j, ell) for j in range(order)]
     t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
@@ -972,11 +1062,15 @@ class TestTableBuilds:
 
     @pytest.mark.parametrize("dps", [40, 51, 100])
     def test_mp_tables(self, dps):
+        # the exact parts, since a repr prints its table's own precision
         for N in [*range(3, 41), 64, 97, 150]:
-            with qi._MP_LOCK:
-                tables = qi._mp_tables.__wrapped__(N, dps)
-            for table, full in zip(tables, full_mp_tables(N, dps)):
-                assert repr(table) == repr(full), (N, dps)
+            t, zeta, y = qi._mp_tables.__wrapped__(N, dps)
+            full_t, full_zeta, full_y = full_mp_tables(N, dps)
+            assert [v._mpf_ for v in t] == [v._mpf_ for v in full_t[:N]], \
+                (N, dps)
+            for table, full in ((zeta, full_zeta), (y, full_y)):
+                assert [v._mpc_ for v in table] == \
+                    [v._mpc_ for v in full], (N, dps)
 
     def test_dd_tables(self):
         # tobytes, so that the sign of every zero counts
@@ -994,8 +1088,8 @@ class TestTableBuilds:
             fields = qi._certificate_fields(N)
             assert fields == all_divisor_fields(N), N
             for ell, r in fields:
-                assert qi._field_tables(N, ell, r) == \
-                    pow_field_tables(N, ell, r), N
+                t, zeta, y = pow_field_tables(N, ell, r)
+                assert qi._field_tables(N, ell, r) == (t[:N], zeta, y), N
 
 
 def unstacked_cmul(a, b):
