@@ -1,7 +1,7 @@
 """The name of the q-series backend, kept for bench/worker.py.
 
-Only backend_name is left: round 1 of both sums is double-double
-arithmetic on numpy in quantum_invariants (_direct_sum_f64,
+Only backend_name is left: round 1 of both sums is an exact integer sum
+over mpmath tables in quantum_invariants (_direct_sum_f64,
 _double_sum_f64). bench/worker.py reports this name among its machine
 facts.
 """

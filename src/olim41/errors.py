@@ -1,4 +1,4 @@
-"""Error types shared by the olim41 modules, and the framing check."""
+"""Error types shared by the olim41 modules, and the integer check."""
 
 
 class DomainError(ValueError):
@@ -29,8 +29,9 @@ class PrecisionExhaustedError(DomainError):
     relative accuracy budget, and the sum is not certified to be zero."""
 
 
-def checked_framing(p):
-    """p itself when it is an int (bool excluded); DomainError otherwise."""
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise DomainError(f"surgery coefficient must be an integer, got {p!r}")
-    return p
+def checked_integer(value, name):
+    """value itself when it is an int (bool excluded); otherwise a
+    DomainError that calls it name, such as "color" or "order"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ReferenceDataError, checked_framing
+from .errors import DomainError, ReferenceDataError, checked_integer
 from .specfun import clausen2
 
 __all__ = [
@@ -45,7 +45,7 @@ class GeometryReference:
     note: str = ""
 
     def __post_init__(self):
-        checked_framing(self.p)
+        checked_integer(self.p, "surgery coefficient")
         if not (math.isfinite(self.vol) and self.vol >= 0):
             raise DomainError(f"volume must be finite and nonnegative, got {self.vol!r}")
         if not math.isfinite(self.cs):
@@ -155,7 +155,7 @@ def infinity_solution(p):
     It satisfies the critical-point system up to defects
     (zeta - 1)(omega + 1) and omega (zeta - 1)^2, both O(1/p); p >= 1.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     if p < 1:
         raise DomainError(f"the infinity solution needs p >= 1, got {p}")
     return cmath.exp(-2j * math.pi / p), cmath.exp(-1j * math.pi / 3)

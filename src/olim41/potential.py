@@ -33,7 +33,7 @@ from .errors import (
     BranchInconsistencyError,
     DomainError,
     SingularPointError,
-    checked_framing,
+    checked_integer,
 )
 from .specfun import PI2_6, dilog, principal_log
 
@@ -76,7 +76,7 @@ def _checked_point(point):
 def eval_potential(p, point):
     """Vt at the point (z, w). Coordinates must be nonzero; z w = 1 and
     z / w = 1 are permitted, because Li2(1) = pi^2/6 is finite."""
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     z, w = _checked_point(point)
     # z * w ** -1 (not z / w) and the pi^2/6 shifts keep values bit-identical
     value = (dilog(z * w ** -1) - PI2_6) - (dilog(z * w) - PI2_6)
@@ -89,7 +89,7 @@ def eval_log_gradient(p, point):
     logs stated in the module docstring. z = 1, z w = 1 and z / w = 1 make
     a Log(1 - x) of the surgery sum infinite, so they are rejected as
     singular points rather than evaluated."""
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     z, w = _checked_point(point)
     zw = z * w
     z_over_w = z * w ** -1    # not z / w, as in eval_potential
@@ -112,7 +112,7 @@ def branch_correct(p, point):
     farther from the grid means the point is not a critical point of any
     branch of the potential.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     point = _checked_point(point)
     grad = eval_log_gradient(p, point)
     d = 2 if p % 2 else 1

@@ -16,38 +16,32 @@ only division is by D. The framing enters only through the phase
 zeta^{p n^2} of row n, so each ring sums its rows once (_rows) and a
 framing costs one dot of the N rows with its phases (_framed).
 
-Round 1 of each route (_direct_sum_f64, _double_sum_f64) is double-double
-arithmetic (about 31 digits; Dekker, Numer. Math. 18, 1971), and reports
-the summed magnitude abs_sum of the sum's terms with its value. The sum
-cancels severely (individual terms grow like exp(0.32*N) while tau_N stays
-polynomially bounded; about 0.14*N + 4 digits are lost), so when the
-round's noise floor exceeds a 1e-12 relative budget the sum is replayed.
-Its tables (_dd_tables) are A, B and c/D over the replay's 40-digit mpmath
-tables (_mp_tables), split into double-doubles. _mp_tables computes zeta^j,
-t_a and y_k only for indices up to N/2 and fills the rest by exact part
-swaps, negations and conjugations; _dd_tables splits zeta^j only for j < N
-and fills the rest by the exact rotation zeta^{j+N} = i zeta^j. Each row is
-summed exactly once per order, with Dekker's TwoProd and math.fsum, and
-rounded to a double-double (_rows_dd), as is abs_sum, since
-|zeta^{p n^2}| = 1; a complex product is one stacked TwoProd of the
-(re, im) parts (_dd_cmul). No term carries a product from the one before,
-so the error does not grow with n. The noise floor is
-abs_sum * N * 2^-104, 33 times the largest error measured against a
-60-digit replay over N = 3..96 at eleven framings in -40..40; at p = 6 it
-meets the budget up to N of about 120. Later rounds run _rows under
-mpmath, at a precision taken from the cancellation the previous round
-measured, and divide by D. A round whose result is itself rounding noise
+Every round of each route is one exact integer sum: the tables of
+_route_tables over _mp_tables(N, dps), with c/D for c, and zeta^j are
+converted exactly to integers times powers of two (_fixed), each row is an
+exact integer dot (_fixed_rows), and a framing is one exact dot of the N
+rows with its phases, rounded once to complex (_fixed_value). So all error
+lies in the mpmath tables, and one noise floor, derived in _noise_floor,
+serves every round. The sum cancels severely (individual terms grow like
+exp(0.32*N) while tau_N stays polynomially bounded; about 0.14*N + 4
+digits are lost), so each round is checked against a 1e-12 relative
+budget. Round 1 (_direct_sum_f64, _double_sum_f64) runs at _ROUND_ONE_DPS
+digits, reports the summed magnitude abs_sum of the sum's terms with its
+value, and builds its rows and abs_sum once per order, so a framing costs
+one dot of N terms. At p = 6 it meets the budget up to N = 180. Later
+rounds replay the same sum at a precision taken from the cancellation the
+previous round measured. A round whose result is itself rounding noise
 escalates again at twice its digits or more.
 
-An exact zero of tau_N never clears the budget, so a double-double round
-that misses it triggers a zero certificate. For a prime l = 1 (mod 4N) the
-ring map sending zeta to a primitive 4N-th root of unity in F_l evaluates
-both sums exactly; the certificate runs _rows over the images of the
-tables (_field_image) and skips D, a unit there. A sum whose image vanishes
-modulo two such primes is returned as exact 0j; any other escalates on,
-and at the round cap raises PrecisionExhaustedError instead of returning
-rounding noise. Every table and row set built per order, of round 1 and
-the certificate, is kept on the caller's RootOfUnityContext, so a further
+An exact zero of tau_N never clears the budget, so a round 1 that misses
+it triggers a zero certificate. For a prime l = 1 (mod 4N) the ring map
+sending zeta to a primitive 4N-th root of unity in F_l evaluates both sums
+exactly; the certificate runs _rows over the images of the tables
+(_field_image) and skips D, a unit there. A sum whose image vanishes modulo
+two such primes is returned as exact 0j; any other escalates on, and at
+the round cap raises PrecisionExhaustedError instead of returning rounding
+noise. Every table and row set built per order, of round 1 and the
+certificate, is kept on the caller's RootOfUnityContext, so a further
 framing costs O(N). Public functions return Python complex.
 
 Precision lives on the tables: _mp_tables builds each in a private mpmath
@@ -62,18 +56,17 @@ they change mpmath's precision themselves.
 import cmath
 import math
 import operator
-import sys
 import threading
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (
     DomainError,
     PrecisionExhaustedError,
     UnsupportedFramingError,
-    checked_framing,
+    checked_integer,
 )
 
 __all__ = [
@@ -91,9 +84,7 @@ _GUARD_DPS = 22
 _MAX_ESCALATIONS = 8
 _CERTIFICATE_PRIME_FLOOR = 2 ** 61
 _CERTIFICATE_PRIMES = 2
-_DD_DPS = 40               # digits of the mpmath pass building the DD tables
-_DD_NOISE_PER_UNIT = 2.0 ** -104   # DD noise per unit of abs_sum and of N
-_DD_BLOCK = 1 << 16        # terms per vectorised block of the DD row build
+_ROUND_ONE_DPS = 40        # digits of round 1's mpmath tables
 # mpmath memoizes pi in shared state without a lock; _mp_tables holds this
 # around its expjpi calls, the package's only transcendental ones.
 _MP_LOCK = threading.Lock()
@@ -103,17 +94,16 @@ class RootOfUnityContext:
     """The root of unity q = exp(2*pi*i/N) and its fractional powers.
 
     It also keeps, as long as it lives, what tau evaluations build once
-    per order, each set on first use: round 1's tables and rows, and the
-    zero certificate's fields with their F_l tables and rows. Shareable
-    across threads without a lock: two threads that race on one set may
-    each build it, and the builds agree.
+    per order, each set on first use: round 1's integer rows and abs_sum
+    per route, and the zero certificate's fields with their F_l tables and
+    rows. Shareable across threads without a lock: two threads that race
+    on one set may each build it, and the builds agree.
     """
 
     __slots__ = ("N", "q", "_state")
 
     def __init__(self, N):
-        if isinstance(N, bool) or not isinstance(N, int):
-            raise DomainError(f"order must be an integer, got {N!r}")
+        N = checked_integer(N, "order")
         if N < 3:
             raise DomainError(f"order must be at least 3, got {N}")
         self.N = N
@@ -129,10 +119,17 @@ class RootOfUnityContext:
     def q_power(self, x):
         """q^x = exp(2*pi*i*x/N), the single fractional-power convention.
 
-        The exponent is reduced mod N before exponentiation so large x
-        (such as p*n^2/4) do not lose accuracy to argument growth.
+        The exponent is reduced mod N before exponentiation, keeping its
+        sign (and the sign of zero) as math.fmod does, so large x (such as
+        p*n^2/4) do not lose accuracy to argument growth. int and Fraction
+        exponents are reduced exactly, at any size; a float is reduced by
+        math.fmod, which is exact too.
         """
-        t = math.fmod(float(x), self.N)
+        if isinstance(x, (int, Fraction)):
+            t = float(abs(x) % self.N)
+            t = -t if x < 0 else t
+        else:
+            t = math.fmod(float(x), self.N)
         return cmath.exp(2j * math.pi * t / self.N)
 
     def __repr__(self):
@@ -144,7 +141,9 @@ def quantum_integer(ctx, n):
 
     [0] and [N] vanish; both are accepted and return exactly 0.0 so callers
     can treat those colors as degenerate instead of handling an error.
+    errors: DomainError unless n is an int with 0 <= n <= N.
     """
+    n = checked_integer(n, "color")
     if n < 0 or n > ctx.N:
         raise DomainError(f"color must satisfy 0 <= n <= N, got n={n} at N={ctx.N}")
     if n == 0 or n == ctx.N:
@@ -161,7 +160,9 @@ def colored_jones_fig8(ctx, n):
     factor is a product of two imaginary differences, so the value is real;
     it is returned as computed, letting tests check that cancellation. At
     n = N the factors pair into |1 - q^l|^2 and J_N = sum_m |(q)_m|^2.
+    errors: DomainError unless n is an int with 1 <= n <= N.
     """
+    n = checked_integer(n, "color")
     if n < 1 or n > ctx.N:
         raise DomainError(f"color must satisfy 1 <= n <= N, got n={n} at N={ctx.N}")
     total = 1 + 0j
@@ -175,13 +176,13 @@ def colored_jones_fig8(ctx, n):
 
 
 def _prefactor(ctx, p):
-    # sqrt(2/N) sin(pi/N) e^{-3 pi i/4} q^{(3-p)/4}; 3 - p is reduced by its
-    # period 4N keeping its sign, so the float exponent is exact at any p
+    # sqrt(2/N) sin(pi/N) e^{-3 pi i/4} q^{(3-p)/4}; q_power reduces the
+    # exact exponent, so it is exact at any p
     return (
         math.sqrt(2.0 / ctx.N)
         * math.sin(math.pi / ctx.N)
         * cmath.exp(-0.75j * math.pi)
-        * ctx.q_power(math.copysign(abs(3 - p) % (4 * ctx.N), 3 - p) / 4)
+        * ctx.q_power(Fraction(3 - p, 4))
     )
 
 
@@ -189,25 +190,27 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
     """Resolve the cancellation in round 1's (value, abs_sum) of route
     ("direct" or "double") to the relative budget.
 
-    value starts as the double-double round, with noise floor
-    abs_sum * N * 2^-104. If it misses the budget, _certified_zero(ctx, p,
-    route) is asked whether the sum is exactly zero, and if so 0j is
-    returned. Up to _MAX_ESCALATIONS rounds of replay(N, p, dps) under
-    mpmath follow, with floor abs_sum * 10^-dps. Each picks its precision
-    from the digits lost against the larger of the current value and the
-    current floor, plus _GUARD_DPS. After a round whose value lies within
-    its own floor, and so resolved no digit, it takes at least twice that
-    round's digits; the guard alone would add only 22 digits a round.
-    errors: DomainError when round 1 is not finite (its row build
-    overflows from N of about 2150); PrecisionExhaustedError when the last
-    mpmath round still misses the budget.
+    value starts as round 1, at _ROUND_ONE_DPS digits. A round at dps
+    digits has the noise floor _noise_floor(abs_sum, N, dps). If round 1
+    misses the budget, _certified_zero(ctx, p, route) is asked whether the
+    sum is exactly zero, and if so 0j is returned. Up to _MAX_ESCALATIONS
+    rounds of replay(N, p, dps) follow. Each picks its precision from the
+    digits lost against the larger of the current value and the current
+    floor, plus _GUARD_DPS. After a round whose value lies within its own
+    floor, and so resolved no digit, it takes at least twice that round's
+    digits; the guard alone would add only 22 digits a round.
+    errors: DomainError when round 1 is not finite (its abs_sum passes the
+    float range from N = 2137 in the direct sum and N = 2173 in the double
+    sum); PrecisionExhaustedError when the last replay still misses the
+    budget.
     """
     N = ctx.N
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
         raise DomainError(
-            f"tau_{N}(M_{p}): the double-double row build overflowed at N = {N}")
-    noise = abs_sum * N * _DD_NOISE_PER_UNIT
-    dps = 0
+            f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
+            f"float range at N = {N}")
+    dps = _ROUND_ONE_DPS
+    noise = _noise_floor(abs_sum, N, dps)
     for rounds in range(_MAX_ESCALATIONS + 1):
         if noise <= _RELATIVE_BUDGET * abs(value):
             return value
@@ -220,13 +223,46 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
         dps = max(_GUARD_DPS + int(math.ceil(lost)), dps + 1,
                   2 * dps if abs(value) <= noise else 0)
         value = replay(N, p, dps)
-        # abs_sum * 10^-dps; 10.0 ** -dps alone underflows past 323 digits
-        noise = max(10.0 ** (math.log10(abs_sum) - dps), 1e-300)
+        noise = _noise_floor(abs_sum, N, dps)
     raise PrecisionExhaustedError(
-        f"tau_{N}(M_{p}): a double-double round and {_MAX_ESCALATIONS} "
-        f"mpmath rounds up to {dps} digits missed the {_RELATIVE_BUDGET:g} "
-        f"relative budget, and the sum is not certified zero"
+        f"tau_{N}(M_{p}): round 1 and {_MAX_ESCALATIONS} replays up to "
+        f"{dps} digits missed the {_RELATIVE_BUDGET:g} relative budget, "
+        f"and the sum is not certified zero"
     )
+
+
+def _noise_floor(abs_sum, N, dps):
+    """The noise floor of a round at dps digits at order N: abs_sum times
+    ((3 ln N + 12) N + 16) u, u = 2^-bits for the bits of _mp_context(dps).
+
+    Derivation, to first order in u (N u < 2^-120 here). _fixed converts
+    every table entry exactly and every integer sum is exact, so the
+    entry rounding at 2^-shift is zero, and a term's error is that of its
+    four mpmath factors c_n/D, A_{n+m}, B_{n-m-1} and zeta^{p n^2}: the
+    value is within abs_sum times the largest relative error of a term.
+    mpmath rounds each real result to nearest, within u relatively, and
+    each part of a complex product or sum once, so within u |result|.
+    Each part of zeta^j is taken to be within one unit in its last place
+    (2u) of its value at the rounded argument j/(2N), and that rounding
+    moves it by at most u more, as j <= N/2 keeps the angle below pi/4: 3u
+    in all. So t_a is within 3u, y_k = 1 - zeta^{4k} within u (4 + 3/|y_k|),
+    and a prefix product of k factors within 4k u (S_k) or
+    5k u + 3u sum_{j<=k} 1/|y_j| ((q)_k). A term reads two prefix
+    products of n + m and N - n + m factors, fewer than 2N in all:
+      direct: S_{n+m} and S_{N-n+m} give 8N u; c_n/D = t_n/(t_1 t_1 N)
+              12u; the phase 3u: at most 8N u + 15u.
+      double: (q)_{n+m} and (q)_{N-n+m} give 10N u + 6u H, with
+              H = sum_{0<j<N} 1/|y_j| <= (N/2)(ln N + 0.31) from
+              2 sin x >= 4x/pi on [0, pi/2]; their powers of zeta 8u;
+              c_n/D u (5 + 3/|c_n|) <= 5u + 0.75 N u, as |c_n| = t_n >= 4/N;
+              the phase 3u: at most (3 ln N + 11.7) N u + 16u.
+    The double route's bound covers the direct one's. The float value is
+    then rounded once, by less than 2^-53 of itself. The floor does not
+    fall below 1e-300, where it would underflow.
+    """
+    bits = _mp_context(dps).prec
+    return max(math.ldexp(abs_sum, -bits) * ((3 * math.log(N) + 12) * N + 16),
+               1e-300)
 
 
 def _exact(value):
@@ -384,9 +420,9 @@ def _certified_zero(ctx, p, route):
     zeros of an order cost O(N) per field. The image is a
     ring map of a sum in Z[zeta], so a true zero always passes. A nonzero
     sum that passed would have to lie in a degree-one prime above each of
-    two primes near 2^61, and, since _escalated asks only after its
-    double-double round missed the budget, that round's value would also
-    have to sit within 1e12 times its noise floor abs_sum * N * 2^-104.
+    two primes near 2^61, and, since _escalated asks only after round 1
+    missed the budget, that round's value would also have to sit within
+    1e12 times its noise floor (_noise_floor at _ROUND_ONE_DPS digits).
     The check proves nothing beyond those conditions.
     """
     fields = ctx._kept(_certificate_fields, _certificate_fields, ctx.N)
@@ -407,9 +443,9 @@ def _mp_tables(N, dps):
     """t_a = 2 sin(pi a/N) = 2 Im zeta^{2a}, zeta^j = exp(pi i j/(2N)) and
     y_k = 1 - q^k.
 
-    The replay's tables (0 <= a, k < N, 0 <= j < 4N), built in
-    _mp_context(dps); the replay and _dd_tables, at _DD_DPS digits, pass
-    them to _route_tables, and the certificate passes their images in F_l
+    The tables of every round (0 <= a, k < N, 0 <= j < 4N), built in
+    _mp_context(dps); each round passes them to _route_tables
+    (_fixed_tables), and the certificate passes their images in F_l
     (_field_tables). Only zeta^j for 0 <= j <= N/2 calls expjpi, under
     _MP_LOCK; the rest of the table is exact part swaps and negations of
     those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
@@ -433,236 +469,119 @@ def _mp_tables(N, dps):
     return t, zeta, y
 
 
-_SPLITTER = 134217729.0    # 2^27 + 1: Dekker's split of a float64 into halves
-_FLOAT_MIN = sys.float_info.min
+def _fixed(values):
+    """(parts, shift): the mpf or mpc values exactly as integers times
+    2^-shift, a tuple of one list for real values or two, re and im, for
+    complex ones. shift is minus the least exponent of a nonzero part, so
+    each part man * 2^exp is the integer man * 2^(exp + shift)."""
+    raw = [v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_,) for v in values]
+    shift = -min(exp for entry in raw for _, man, exp, _ in entry if man)
+
+    def part(sign, man, exp, _):
+        return (-man if sign else man) << (exp + shift)
+
+    return tuple([part(*value) for value in column]
+                 for column in zip(*raw)), shift
 
 
-def _two_prod(a, b):
-    """(p, e) with p + e = a * b exactly (Dekker's TwoProd; numpy has no fma)."""
-    p = a * b
-    t = _SPLITTER * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _SPLITTER * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))
 
 
-def _dd_mul(a, b):
-    """Product of double-doubles a = (hi, lo) and b, renormalized."""
-    p, e = _two_prod(a[0], b[0])
-    e = e + (a[0] * b[1] + a[1] * b[0])
-    hi = p + e
-    return hi, e - (hi - p)
+def _times(a, b, mul=operator.mul):
+    """a times b, for numbers given by their tuple of parts, (re,) or
+    (re, im). With mul=_dot, a and b are sequences of such numbers given
+    by their part lists, and this is their dot product: a complex one is
+    four real dots."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return tuple(mul(part, b[0]) for part in a)
+    (a_re, a_im), (b_re, b_im) = a, b
+    return (mul(a_re, b_re) - mul(a_im, b_im),
+            mul(a_re, b_im) + mul(a_im, b_re))
 
 
-def _dd_add(a, b):
-    """Sum of double-doubles a = (hi, lo) and b, renormalized (TwoSum)."""
-    s = a[0] + b[0]
-    v = s - a[0]
-    e = (a[0] - (s - v)) + (b[0] - v) + a[1] + b[1]
-    hi = s + e
-    return hi, e - (hi - s)
-
-
-def _dd_cmul(a, b):
-    """Product of complex double-doubles a = (re_hi, re_lo, im_hi, im_lo)
-    and b, as the same four arrays.
-
-    The four real products are one _dd_mul: the (re, im) parts of a, on
-    the first axis, times those of b on the next, which gives
-    [[rr, ri], [ir, ii]]. One _dd_add of the stacked pairs (rr, ri) and
-    (-ii, ir) then gives the real and imaginary parts. Each entry is the
-    same arithmetic as four separate products and two sums.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    hi, lo = _dd_mul((a[::2, None], a[1::2, None]), (b[::2], b[1::2]))
-    for part in (hi, lo):
-        np.negative(part[1, 1], out=part[1, 1])
-    hi, lo = _dd_add((hi[0], lo[0]), (hi[1, ::-1], lo[1, ::-1]))
-    return hi[0], lo[0], hi[1], lo[1]
-
-
-def _dd_split(values):
-    """The mpf values as a (2, len) float64 array of (hi, lo) rows, bit for
-    bit hi = float(v) and lo = float(v - hi).
-
-    Each v = man * 2^exp is split from its integer mantissa: float(man)
-    rounds half-even to 53 bits as float(v) does, the remainder
-    man - int(float(man)) is exact, and ldexp scales both. Zero, values
-    whose hi would overflow or fall below the normal range, and mantissas
-    past the float range are converted under mpmath as stated.
-    """
-    hi, lo = [], []
-    for v in values:
-        sign, man, exp, _ = v._mpf_
-        man = -man if sign else man
-        try:
-            h = float(man)
-            a = math.ldexp(h, exp)
-        except OverflowError:
-            a = 0.0    # float(v) below gives +-inf, as mpmath does
-        if abs(a) >= _FLOAT_MIN:
-            hi.append(a)
-            lo.append(math.ldexp(float(man - int(h)), exp))
-        else:
-            h = float(v)
-            hi.append(h)
-            lo.append(float(v - h))
-    return np.array([hi, lo])
-
-
-def _dd_split_complex(values):
-    """The mpc values as a (4, len) array of (re_hi, re_lo, im_hi, im_lo)."""
-    return np.concatenate([_dd_split([v.real for v in values]),
-                           _dd_split([v.imag for v in values])])
-
-
-def _dd_phases(zeta, N, p):
-    """zeta^{p n^2} for 0 <= n < N from the (4, 4N) table zeta^j."""
-    n = np.arange(N)
-    return zeta[:, (p % (4 * N)) * n * n % (4 * N)]
-
-
-def _triangle_blocks(N):
-    """The triangle 1 <= n < N, 0 <= l < min(n, N - n) in blocks of whole
-    rows of about _DD_BLOCK terms (one block up to N of about 510), which
-    bounds the memory of the arrays built over it.
-
-    Yields (counts, n, l) per block: the term count of each of its rows and
-    the index arrays of its terms, row after row.
-    """
-    rows = np.arange(1, N)
-    counts = np.minimum(rows, N - rows)
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_DD_BLOCK, ends[-1], _DD_BLOCK))
-    for block, count in zip(np.split(rows, cuts), np.split(counts, cuts)):
-        starts = np.repeat(np.cumsum(count) - count, count)
-        n = np.repeat(block, count)
-        yield count, n, np.arange(len(n)) - starts
-
-
-def _triangle_rows(N, terms):
-    """Exact row sums of the double-double arrays terms(n, l), as a
-    (len(terms), N) array of double-doubles whose column 0 is zero, and
-    the sum of the terms' moduli in each row, as an array of N whose
-    entry 0 is zero.
-
-    terms takes the index arrays of _triangle_blocks and returns (hi, lo)
-    pairs of arrays, one pair for a real term and (re, im) for a complex
-    one. For each pair, column n holds hi = math.fsum of the hi and lo
-    parts of every term of row n and lo = math.fsum of the rest, so the
-    row is within 2^-106 of its exact sum. A term's modulus is taken from
-    its hi parts. A row never spans two blocks.
-    """
-    sums, moduli = [], [0.0]
-    for counts, n, l in _triangle_blocks(N):
-        block = terms(n, l)
-        modulus = np.hypot.reduce(np.abs(block[::2]), axis=0)
-        moduli += np.add.reduceat(modulus, np.cumsum(counts) - counts).tolist()
-        arrays = [array.tolist() for array in block]
-        end = 0
-        for count in counts.tolist():
-            start, end = end, end + count
-            row = []
-            for hi, lo in zip(arrays[::2], arrays[1::2]):
-                parts = hi[start:end] + lo[start:end]
-                row.append(math.fsum(parts))
-                parts.append(-row[-1])
-                row.append(math.fsum(parts))
-            sums.append(row)
-    return np.array([[0.0] * len(sums[0]), *sums]).T, np.array(moduli)
-
-
-def _dd_tables(N):
-    """Double-double tables at order N: ({route: (A, B, c/D)}, zeta), the
-    tables of _route_tables over _mp_tables(N, _DD_DPS), split from their
-    _DD_DPS-digit values (real for the direct sum, complex for the double),
-    and zeta^j for 0 <= j < 4N.
-
-    Only zeta^j for j < N is split; the other three quarters are the exact
-    fill zeta^{j+N} = i zeta^j of the split parts, with 0.0 - v for the
-    negated parts so that no -0.0 appears, as the split gives none.
-    """
-    routes = {}
-    t, zeta, y = _mp_tables(N, _DD_DPS)
-    for route, split in (("direct", _dd_split), ("double", _dd_split_complex)):
-        A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
-        routes[route] = split(A), split(B), split([v / D for v in c])
-    quarters = [_dd_split_complex(zeta[:N])]
-    for _ in range(3):
-        re_hi, re_lo, im_hi, im_lo = quarters[-1]
-        quarters.append(np.array([0.0 - im_hi, 0.0 - im_lo, re_hi, re_lo]))
-    return routes, np.concatenate(quarters, axis=1)
-
-
-def _rows_dd(N, A, B, c, mul):
-    """The rows c_n/D sum_m A_{n+m} B_{n-m-1} of a bare sum as
-    double-doubles, and abs_sum, the summed moduli of the sum's terms, from
-    one route's tables of _dd_tables(N); mul is _dd_mul for the real
-    direct tables and _dd_cmul for the complex double ones.
-
-    Each exact row sum is multiplied by c_n/D. A term of the sum is a row's
-    term times c_n/D zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum does
-    not depend on the framing.
-    """
-    rows, moduli = _triangle_rows(
-        N, lambda n, m: mul(A[:, n + m], B[:, n - m - 1]))
-    scale = np.hypot.reduce(np.abs(c[::2]), axis=0)
-    return np.array(mul(rows, c)), math.fsum((moduli * scale).tolist())
-
-
-def _dd_total(z):
-    """The exact sum of the complex double-doubles z, rounded to complex."""
-    return complex(math.fsum(np.concatenate(z[:2]).tolist()),
-                   math.fsum(np.concatenate(z[2:]).tolist()))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _round_one(ctx, p, route, mul, times):
-    """(value, abs_sum) of route's bare sum, from the rows and abs_sum of
-    _rows_dd with mul, both kept on ctx: the exact sum of
-    times(rows, phases), the rows times the framing's phases zeta^{p n^2}
-    in double-double, O(N) per framing. From N of about 2150 the row build
-    overflows and the result is not finite: (nan, inf) where math.fsum
-    raises on the overflowed terms.
-    """
+def _to_float(value, shift):
+    """value * 2^-shift, rounded once by int division; +-inf past the
+    float range."""
     try:
-        routes, zeta = ctx._kept(_dd_tables, _dd_tables, ctx.N)
-        rows, abs_sum = ctx._kept(route, _rows_dd, ctx.N, *routes[route], mul)
-        return _dd_total(times(rows, _dd_phases(zeta, ctx.N, p))), abs_sum
-    except (ValueError, OverflowError):
-        return complex(math.nan, math.nan), math.inf
+        return value / (1 << shift)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _fixed_tables(N, dps, route):
+    """route's A, B and c/D of _route_tables over _mp_tables(N, dps), and
+    zeta^j, 0 <= j < 4N, each as (parts, shift) of _fixed."""
+    t, zeta, y = _mp_tables(N, dps)
+    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+    return [_fixed(v) for v in (A, B, [v / D for v in c], zeta)]
+
+
+def _fixed_rows(N, A, B, c):
+    """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
+    _rows, summed exactly over the parts of _fixed tables, as part lists."""
+    rows = [_times(tuple(part[n] for part in c),
+                   _times(tuple(part[n:] for part in A),
+                          tuple(part[n - 1::-1] for part in B), _dot))
+            for n in range(1, N)]
+    return tuple(map(list, zip(*rows)))
+
+
+def _fixed_value(N, p, rows, zeta, shift):
+    """The framing's dot sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, exactly,
+    times 2^-shift and rounded once to complex (_to_float)."""
+    order = 4 * N
+    p %= order
+    index = [p * n * n % order for n in range(1, N)]
+    phases = tuple([part[j] for j in index] for part in zeta)
+    return complex(*(_to_float(v, shift) for v in _times(rows, phases, _dot)))
+
+
+def _round_one_rows(N, route):
+    """(rows, zeta, shift, abs_sum) of route's round 1: _fixed_rows and
+    zeta^j at _ROUND_ONE_DPS digits, the shift of their products, and
+    abs_sum, the summed moduli of the bare sum's terms. A term is a row's
+    term times c_n/D zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum is
+    the rows over the moduli of the entries, each to the unit below, and
+    does not depend on the framing.
+    """
+    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, _ROUND_ONE_DPS, route)
+    moduli = [([math.isqrt(_dot(entry, entry)) for entry in zip(*table)],)
+              for table in (A, B, c)]
+    (magnitudes,) = _fixed_rows(N, *moduli)
+    return (_fixed_rows(N, A, B, c), zeta, a + b + s + z,
+            _to_float(sum(magnitudes), a + b + s))
+
+
+def _round_one(ctx, p, route):
+    """(value, abs_sum) of route's bare sum from the rows kept on ctx: one
+    dot of N terms per framing."""
+    rows, zeta, shift, abs_sum = ctx._kept(route, _round_one_rows, ctx.N, route)
+    return _fixed_value(ctx.N, p, rows, zeta, shift), abs_sum
 
 
 def _direct_sum_f64(ctx, p):
-    """Round 1 of the bare direct sum, from its real rows.
+    """Round 1 of the bare direct sum.
 
     The name is that of the float64 pass this round replaced:
     bench/tracing.py wraps it, and _double_sum_f64, as its kernels
     boundary.
     """
-    def times(rows, phase):
-        # the real rows times the (re, im) parts of the phases, one product
-        hi, lo = _dd_mul(rows, (phase[::2], phase[1::2]))
-        return hi[0], lo[0], hi[1], lo[1]
-
-    return _round_one(ctx, p, "direct", _dd_mul, times)
+    return _round_one(ctx, p, "direct")
 
 
 def _double_sum_f64(ctx, p):
-    """Round 1 of the bare double sum, from its complex rows."""
-    return _round_one(ctx, p, "double", _dd_cmul, _dd_cmul)
+    """Round 1 of the bare double sum."""
+    return _round_one(ctx, p, "double")
 
 
 def _replay(N, p, dps, route):
-    """route's bare sum at dps digits: _rows over _mp_tables(N, dps) times
-    the framing's phases, divided by D."""
-    t, zeta, y = _mp_tables(N, dps)
-    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
-    rows = _rows(N, A, B, c, _exact)
-    return complex(_framed(N, p, rows, zeta, _exact) / D)
+    """route's bare sum at dps digits: round 1's exact integer sum over the
+    tables at dps."""
+    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, dps, route)
+    return _fixed_value(N, p, _fixed_rows(N, A, B, c), zeta, a + b + s + z)
 
 
 def _direct_sum_mp(N, p, dps):
@@ -682,7 +601,7 @@ def wrt_direct(ctx, p):
     errors: UnsupportedFramingError for p <= 0, where this prefactor is
     not valid; wrt_double_sum covers every integer framing.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     if p <= 0:
         raise UnsupportedFramingError(
             f"direct form requires a positive surgery coefficient, got {p}"
@@ -709,7 +628,7 @@ def wrt_double_sum(ctx, p):
     prefactor convention. It holds to 1e-13 at every 3 <= N <= 31 and
     1 <= |p| <= 8, where exact zeros pair with exact zeros.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     value, abs_sum = _double_sum_f64(ctx, p)
     value = _escalated(value, abs_sum, ctx, p, _double_sum_mp, "double")
     if not value:

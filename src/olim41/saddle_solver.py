@@ -53,7 +53,7 @@ from .errors import (
     BranchInconsistencyError,
     DomainError,
     SingularPointError,
-    checked_framing,
+    checked_integer,
 )
 from .potential import branch_correct
 from .specfun import principal_log
@@ -405,7 +405,7 @@ def residual_fig8(p, zeta, omega):
     z^{p/2} means exp((p/2) Log z); if that sign fails, the opposite
     square-root sheet is also tried and the smaller defect returned.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     return _sheet_residual(p, complex(zeta), complex(omega))[0]
 
 
@@ -487,7 +487,7 @@ def solve_fig8(p):
     -136..-36 but -60 and in 60..136 but 132, where the z = -1 pair
     (-1, (-3 +- sqrt 5)/2) lacks a point or both.
     """
-    p = checked_framing(p)
+    p = checked_integer(p, "surgery coefficient")
     if abs(p) > _MAX_FRAMING:
         raise DomainError(
             f"the saddle solver takes |p| <= {_MAX_FRAMING}, got p={p}")
@@ -591,7 +591,7 @@ def track_geometric(p_values):
     results = []
     previous = None
     for p in p_values:
-        p = checked_framing(p)
+        p = checked_integer(p, "surgery coefficient")
         if p < 1:
             raise DomainError(f"geometric tracking needs p >= 1, got {p}")
         starts = [(cmath.exp(-1j * math.pi / p), cmath.exp(-1j * math.pi / 3))]

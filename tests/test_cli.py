@@ -8,6 +8,8 @@ are end-to-end checks rather than golden files.
 import csv
 import io
 import math
+import os
+import shlex
 
 import pytest
 
@@ -22,6 +24,30 @@ from olim41.saddle_solver import residual_fig8
 
 SADDLE_SCHEMA = ["p", "re_zeta", "im_zeta", "re_omega", "im_omega",
                  "c1", "c2", "re_V", "im_V", "residual", "label"]
+# the header each subcommand prints; wrt's is that of --form both
+SCHEMAS = {
+    "jones": ["N", "n", "re", "im"],
+    "wrt": ["N", "p", "re_direct", "im_direct", "re_double", "im_double",
+            "discrepancy"],
+    "saddle": SADDLE_SCHEMA,
+    "olim": ["p", "re_zeta", "im_zeta", "re_omega", "im_omega", "re_V",
+             "im_V", "re_target", "im_target", "abs_error", "matched",
+             "label"],
+    "sweep": SADDLE_SCHEMA,
+    "growth": ["N", "log_tau", "log_tau_over_N", "log_tau_over_log_N"],
+    "special": ["fn", "arg", "re", "im"],
+}
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def _readme_commands():
+    """The olim41 lines of the README's command-line block."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("olim41 ")]
 
 
 def _run(argv, capsys):
@@ -53,6 +79,23 @@ class TestSaddleCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "136" in err
+
+
+class TestReadmeCommands:
+    """Every command line the README shows runs and prints its schema."""
+
+    def test_every_subcommand_is_shown(self):
+        assert sorted({line.split()[1] for line in _readme_commands()}) == \
+            sorted(SCHEMAS)
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_command_runs(self, line, capsys):
+        argv = shlex.split(line)[1:]
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, ""), line
+        header, rows = _rows(out)
+        assert header == SCHEMAS[argv[0]], line
+        assert rows, line
 
 
 class TestWrtCommand:
@@ -295,11 +338,12 @@ class TestRepeatedCalls:
 
     def test_wrt_keeps_the_last_order_context(self, monkeypatch, capsys):
         # the benchmark's tau-grid runs each order's framings one after
-        # another; the tables are built once per order, not per framing
+        # another; the rows are built once per order, not per framing
         builds = []
-        build = quantum_invariants._dd_tables
-        monkeypatch.setattr(quantum_invariants, "_dd_tables",
-                            lambda N: builds.append(N) or build(N))
+        build = quantum_invariants._round_one_rows
+        monkeypatch.setattr(quantum_invariants, "_round_one_rows",
+                            lambda N, route: builds.append((N, route))
+                            or build(N, route))
         cli._context.cache_clear()
         for N, p in ((33, 1), (33, 2), (33, 3), (34, 1)):
             code, out, _ = _run(["wrt", "--N", str(N), "--p", str(p),
@@ -307,7 +351,8 @@ class TestRepeatedCalls:
             assert code == 0
             _, rows = _rows(out)
             assert float(rows[0]["discrepancy"]) < 1e-9
-        assert builds == [33, 34]
+        assert builds == [(N, route) for N in (33, 34)
+                          for route in ("direct", "double")]
 
     def test_good_call_after_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,14 @@
 """Property tests: identities that hold at random points off the fixed grids."""
 
+import mpmath as mp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_quantum import (
+    full_mp_tables,
+    loop_direct_sum,
+    loop_double_sum,
+    unreduced,
+)
 
 from olim41 import quantum_invariants as qi
 from olim41.quantum_invariants import (
@@ -26,22 +33,29 @@ def test_routes_agree_off_grid(N, p):
         assert formula_discrepancy(direct, double) < 1e-9
 
 
-# Round 1 claims the noise floor abs_sum * N * 2^-104; a 60-digit replay
-# of the same sum is exact on that scale. At (22, 44) and (60, 120) a
+# Round 1 claims the noise floor _noise_floor(abs_sum, N, _ROUND_ONE_DPS),
+# derived in its docstring. The oracle is the step-by-step loops of
+# test_quantum at 60 digits, which share no code with the fixed-point sum
+# and whose own error is far below that floor. At (22, 44) and (60, 120) a
 # direct sum that carries its colored Jones product from term to term errs
-# by 2.1e-15 and 3.3e-15 per unit of abs_sum, and at (3, 1) a float64 sum
-# of the terms errs by 2.2e-16 against a floor of 8.9e-31.
+# by 2.1e-15 and 3.3e-15 per unit of abs_sum; at (3, 1) a float64 sum of
+# the terms errs by 2.2e-16. At N = 500 the tables span more than 200 bits.
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
 @given(N=st.integers(3, 96), p=st.integers(-40, 40))
 @example(N=3, p=1)
 @example(N=22, p=44)
 @example(N=60, p=120)
-def test_double_double_round_meets_its_floor(N, p):
-    routes = [(qi._double_sum_f64, qi._double_sum_mp)]
-    if p >= 1:
-        routes.append((qi._direct_sum_f64, qi._direct_sum_mp))
+@example(N=500, p=6)
+def test_round_one_meets_its_floor(N, p):
+    with mp.workdps(60):
+        t, zeta, y = full_mp_tables(N, 60)
+        exact = [(qi._double_sum_f64, loop_double_sum(N, p, y, zeta, unreduced))]
+        if p >= 1:
+            exact.append((qi._direct_sum_f64,
+                          loop_direct_sum(N, p, t, zeta, unreduced) / t[1] ** 2))
     ctx = RootOfUnityContext(N)
-    for round_one, replay in routes:
-        value, abs_sum = round_one(ctx, p)
-        floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
-        assert abs(value - replay(N, p, 60)) <= floor, (N, p, round_one.__name__)
+    for round_one, value in exact:
+        rounded, abs_sum = round_one(ctx, p)
+        floor = qi._noise_floor(abs_sum, N, qi._ROUND_ONE_DPS)
+        assert abs(rounded - complex(value)) <= floor, \
+            (N, p, round_one.__name__)

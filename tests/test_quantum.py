@@ -13,9 +13,9 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from olim41 import _kernels, cli
@@ -65,6 +65,27 @@ class TestContext:
         assert abs(ctx.q_power(4 * 9 + 0.25) - ctx.q_power(0.25)) < 1e-14
         assert abs(ctx.q_power(9) - 1) < 1e-15
 
+    def test_q_power_reduces_int_and_fraction_exponents_exactly(self):
+        # past 2^53 float(x) is not x: 2^60 + 1 = 2 and 7 * 10^17 + 1 = 1
+        # (mod 7) give q^2 and q, and 10^400 has no float at all
+        ctx = RootOfUnityContext(7)
+        assert ctx.q_power(2 ** 60 + 1) == ctx.q_power(2)
+        assert ctx.q_power(7 * 10 ** 17 + 1) == ctx.q_power(1)
+        assert ctx.q_power(-(7 * 10 ** 17 + 1)) == ctx.q_power(-1)
+        assert ctx.q_power(10 ** 400) == ctx.q_power(10 ** 400 % 7)
+        assert ctx.q_power(Fraction(10 ** 400 + 1, 4)) == \
+            ctx.q_power(Fraction(10 ** 400 % 28 + 1, 4))
+        # 2^59 = 4 (mod 7), so -(2^60 + 3)/2 = -5.5 (mod 7), sign kept
+        assert ctx.q_power(Fraction(-(2 ** 60) - 3, 2)) == ctx.q_power(-5.5)
+
+    def test_q_power_keeps_the_bits_of_small_exponents(self):
+        # an exact exponent gives the bits that its float gave, signed zeros
+        # included; the prefactor's q^{(3-p)/4} is one of them
+        ctx = RootOfUnityContext(11)
+        for x in [*range(-100, 101), *(Fraction(k, 4) for k in range(-300, 301))]:
+            assert repr(ctx.q_power(x)) == repr(ctx.q_power(float(x))), x
+        assert repr(ctx.q_power(-44)) == repr(cmath.exp(2j * math.pi * -0.0 / 11))
+
 
 class TestQuantumInteger:
     def test_degenerate_colors_are_zero(self):
@@ -88,6 +109,11 @@ class TestQuantumInteger:
             quantum_integer(ctx, -1)
         with pytest.raises(DomainError):
             quantum_integer(ctx, 9)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_color_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="color must be an integer"):
+            quantum_integer(RootOfUnityContext(8), n)
 
 
 class TestColoredJones:
@@ -125,6 +151,11 @@ class TestColoredJones:
             colored_jones_fig8(ctx, 0)
         with pytest.raises(DomainError):
             colored_jones_fig8(ctx, 10)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_color_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="color must be an integer"):
+            colored_jones_fig8(RootOfUnityContext(9), n)
 
 
 class TestWrt:
@@ -201,15 +232,15 @@ class TestWrt:
 
     def test_escalated_region_still_agrees(self):
         # N past ~52 has enough cancellation that a float64 sum would miss
-        # the budget; the double-double round resolves the sum
+        # the budget; round 1 resolves the sum
         ctx = RootOfUnityContext(60)
         d = formula_discrepancy(wrt_direct(ctx, 6), wrt_double_sum(ctx, 6))
         assert d < 1e-9
 
-    def test_mpmath_rounds_run_past_double_double(self, monkeypatch):
+    def test_mpmath_rounds_run_past_round_one(self, monkeypatch):
         # At N = 200 about 28 digits cancel: with the 12-digit budget that
-        # is more than double-double's ~31, so each route needs an mpmath
-        # round, at a precision picked past the double-double floor.
+        # is more than round 1's 40-digit tables resolve, so each route
+        # needs a replay, at a precision picked past round 1's.
         calls = []
         for name in ("_direct_sum_mp", "_double_sum_mp"):
             replay = getattr(qi, name)
@@ -218,7 +249,7 @@ class TestWrt:
                 calls.append(dps) or replay(N, p, dps))
         ctx = RootOfUnityContext(200)
         d = formula_discrepancy(wrt_direct(ctx, 6), wrt_double_sum(ctx, 6))
-        assert len(calls) >= 2 and min(calls) > 31
+        assert len(calls) >= 2 and min(calls) > qi._ROUND_ONE_DPS
         assert d < 1e-9
 
     def test_noise_rounds_double_the_precision(self, monkeypatch):
@@ -237,92 +268,6 @@ class TestWrt:
                               "direct")
         assert value == 1.0
         assert len(calls) <= 5, calls
-
-
-class TestDoubleDoubleRound:
-    def test_row_blocks_keep_the_precision(self, monkeypatch):
-        # Past _DD_BLOCK terms (N above about 510) the triangle is summed in
-        # row blocks; blocks of about 64 terms must match the single block,
-        # in round 1's value and in its abs_sum. The rows are kept per
-        # context, so a fresh context builds them in blocks.
-        routes = (qi._direct_sum_f64, qi._double_sum_f64)
-        whole = {fn: fn(RootOfUnityContext(40), 6) for fn in routes}
-        monkeypatch.setattr(qi, "_DD_BLOCK", 64)
-        for fn in routes:
-            value, abs_sum = whole[fn]
-            blocked, blocked_abs_sum = fn(RootOfUnityContext(40), 6)
-            assert blocked_abs_sum == abs_sum, fn.__name__
-            floor = abs_sum * 40 * qi._DD_NOISE_PER_UNIT
-            assert abs(blocked - value) <= floor, fn.__name__
-
-
-def _split_bits(pairs):
-    return [(hi.hex(), lo.hex()) for hi, lo in pairs]
-
-
-class TestDoubleDoubleSplit:
-    """_dd_split gives, bit for bit, float(v) and float(v - float(v))."""
-
-    @staticmethod
-    def reference(values):
-        return _split_bits((float(v), float(v - float(v))) for v in values)
-
-    def check(self, values):
-        split = qi._dd_split(values)
-        assert split.shape == (2, len(values))
-        assert _split_bits(zip(*split.tolist())) == self.reference(values)
-
-    def test_signed_values_and_zero(self):
-        with mp.workdps(40):
-            third, pi = mp.mpf(1) / 3, +mp.pi
-            self.check([mp.mpf(0), third, -third, pi, -pi, mp.mpf(1),
-                        mp.mpf(-1), 1 + mp.mpf(2) ** -60, -1 - mp.mpf(2) ** -60])
-
-    def test_mantissas_within_53_bits(self):
-        with mp.workdps(40):
-            self.check([mp.mpf(0.1), mp.mpf(-0.1), mp.mpf(2 ** 53 - 1),
-                        -mp.mpf(2 ** 53 - 1), mp.mpf(12345.5), mp.mpf(2) ** -1000,
-                        mp.mpf(5e-324), -mp.mpf(2 ** 52 + 1) * 2 ** 960])
-
-    def test_half_way_mantissas_round_to_even(self):
-        with mp.workdps(40):
-            half = mp.mpf(2) ** -53
-            self.check([1 + half, 1 + 3 * half, -(1 + half), -(1 + 3 * half),
-                        1 + half + mp.mpf(2) ** -100])
-
-    def test_near_the_ends_of_the_float_range(self):
-        with mp.workdps(40):
-            self.check([sign * mp.mpf(10) ** e / 7 for sign in (1, -1)
-                        for e in (-308, -300, -290, 290, 300, 308)])
-
-    def test_past_the_float_range(self):
-        # overflow gives +-inf, underflow 0.0 or a subnormal, as mpmath does
-        with mp.workdps(40):
-            values = [sign * mp.mpf(10) ** e / 7 for sign in (1, -1)
-                      for e in (-400, -320, -310, 310, 400)]
-            self.check(values)
-        hi = qi._dd_split(values)[0].tolist()
-        assert hi[0] == 0.0 and 0 < hi[1] < 2.3e-308
-        assert hi[3:5] == [math.inf, math.inf] and hi[8:] == [-math.inf, -math.inf]
-
-    def test_mantissas_past_the_float_range(self):
-        # at 400 digits the mantissa of 1/3 has about 1330 bits
-        with mp.workdps(400):
-            third = mp.mpf(1) / 3
-            self.check([third, -third, third * mp.mpf(10) ** 300])
-
-    def test_random_values(self):
-        rng = random.Random(14)
-        with mp.workdps(40):
-            values = [mp.mpf(rng.uniform(-1, 1)) / 3
-                      * mp.mpf(2) ** rng.randint(-1000, 1000) for _ in range(500)]
-            self.check(values)
-
-    def test_table_entries(self):
-        with mp.workdps(qi._DD_DPS):
-            t, zeta, _ = qi._mp_tables(37, qi._DD_DPS)
-            self.check(t + [1 / v for v in t[1:37]]
-                       + [z.real for z in zeta] + [z.imag for z in zeta])
 
 
 class TestZetaTable:
@@ -418,7 +363,7 @@ class TestCertifiedZeros:
 
 
     def test_overflowed_f64_pass_raises(self, monkeypatch, capsys):
-        # Round 1's row build overflows between N = 2000 and 2300.
+        # Round 1's abs_sum passes the float range from N = 2137.
         overflow = lambda ctx, p: (complex(math.nan, math.nan), math.inf)
         monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
         monkeypatch.setattr(qi, "_double_sum_f64", overflow)
@@ -456,15 +401,16 @@ class TestStatePerContext:
     # the tau-grid orders of bench/workloads.py at seed 0
     ORDERS = (6, 7, 14, 15, 33, 34, 35, 36, 37, 38, 39, 40)
 
-    def test_dd_tables_built_once_per_order(self, monkeypatch):
+    def test_round_one_rows_built_once_per_order(self, monkeypatch):
         # the framing outer, so every order comes back at each framing
-        builds = counted(monkeypatch, "_dd_tables")
+        builds = counted(monkeypatch, "_round_one_rows")
         contexts = [RootOfUnityContext(N) for N in self.ORDERS]
         for p in range(1, 11):
             for ctx in contexts:
                 direct, double = wrt_direct(ctx, p), wrt_double_sum(ctx, p)
                 assert formula_discrepancy(direct, double) < 1e-9, (ctx, p)
-        assert builds == [(N,) for N in self.ORDERS]
+        assert builds == [(N, route) for N in self.ORDERS
+                          for route in ("direct", "double")]
 
     def test_certificate_built_once_per_field(self, monkeypatch):
         orders = (33, 35, 37)
@@ -524,7 +470,7 @@ class TestPrecisionOnTheTables:
     evaluation changes it."""
 
     # replay range: round 1 misses the budget at each
-    CASES = [(200, 6), (150, 7), (130, 9)]
+    CASES = [(200, 6), (210, 7), (220, 9)]
 
     @staticmethod
     def both_routes(N, p):
@@ -577,7 +523,7 @@ class TestPrecisionOnTheTables:
         assert seen == {53}
 
     def test_concurrent_replays(self, monkeypatch):
-        pairs = [(125, 3), (131, 5), (140, 6), (150, 7)]
+        pairs = [(202, 3), (208, 5), (214, 6), (220, 7)]
         expected = {pair: self.both_routes(*pair) for pair in pairs}
         replays = counted(monkeypatch, "_replay")
         qi._mp_tables.cache_clear()
@@ -862,6 +808,54 @@ class TestOneElementOfZZeta:
                         < 1e-45, (N, k)
 
 
+class TestOddColorSplitting:
+    """At odd N the rows R_n of _rows, times the framing's phases, split:
+    sum_n R_n zeta^{p n^2} = (1 + zeta^{-p N^2}) sum_{n odd} R_n zeta^{p n^2},
+    in every ring _route_tables serves. Checked here exactly, in both
+    certificate fields, for both routes.
+
+    Pair row n with row N - n. Both routes' rows are symmetric,
+    R_{N-n} = R_n, since each is D times the step-by-step row of n:
+      direct: the step row t_n^2 J_n has t_{N-n} = t_n, and J_{N-n} = J_n
+        term by term, as t_{N-a} = t_a maps the factors -t_{n+l} t_{n-l}
+        of N - n onto those of n, and a term with m >= min(n, N - n) holds
+        t_0 = 0 or t_N = 0;
+      double: y_{N-k} = -q^{-k} y_k makes the ratio
+        prod_{i<=m} y_{n+i} y_{n-i} of N - n equal q^{-2n(m+1)} times that
+        of n, while its phase zeta^{-4(N-n)(m+1)} = q^{n(m+1)} is
+        q^{2n(m+1)} times that of n.
+    The phases: zeta^{2N} = -1 gives zeta^{p(N-n)^2} =
+    (-1)^{pn} zeta^{p N^2} zeta^{p n^2}, and zeta^{2p N^2} = (-1)^{pN} =
+    (-1)^p at odd N, so for odd n, (-1)^{pn} zeta^{p N^2} = zeta^{-p N^2}.
+    At odd N, n -> N - n maps the odd colors onto the even ones, so the
+    even part of the sum is zeta^{-p N^2} times the odd part.
+    """
+
+    FRAMINGS = (1, 2, 3, 4, 5, 8, 9, 10, 12, -3, -5)
+
+    def test_odd_N_sums_split(self):
+        checks = 0
+        for N in range(3, 62, 2):
+            order = 4 * N
+            for ell, r in qi._certificate_fields(N):
+                def mod(v):
+                    return v % ell
+
+                t, zeta, y = qi._field_tables(N, ell, r)
+                for route in ("direct", "double"):
+                    A, B, c, _ = qi._route_tables(N, t, zeta, y, route, mod)
+                    rows = qi._rows(N, A, B, c, mod)
+                    assert rows == rows[::-1], (N, route)
+                    for p in self.FRAMINGS:
+                        odd = sum(rows[n - 1] * zeta[p * n * n % order]
+                                  for n in range(1, N, 2))
+                        split = (1 + zeta[-p * N * N % order]) * odd % ell
+                        assert qi._framed(N, p, rows, zeta, mod) == split, \
+                            (N, route, p)
+                        checks += 1
+        assert checks == 1320
+
+
 def loop_direct_sum(N, p, t, zeta, reduce):
     """The direct sum as one loop, each row times its phase as it ends."""
     total = 0
@@ -885,48 +879,9 @@ def loop_double_sum(N, p, y, zeta, reduce):
     return reduce(total)
 
 
-def triangle_sum_dd(terms):
-    """Exact sums of the parts of every term of the whole triangle at once,
-    and the sum of the terms' moduli."""
-    return (complex(math.fsum(np.concatenate(terms[:2]).tolist()),
-                    math.fsum(np.concatenate(terms[2:]).tolist())),
-            math.fsum(np.hypot(terms[0], terms[2]).tolist()))
-
-
-def triangle_indices(N):
-    rows = np.arange(1, N)
-    counts = np.minimum(rows, N - rows)
-    return (np.repeat(rows, counts),
-            np.concatenate([np.arange(count) for count in counts]))
-
-
-def triangle_direct_sum_dd(N, p, tables):
-    """The direct double-double round with each term multiplied out by its
-    framing's phase over the whole triangle, from the tables of
-    _dd_tables(N)."""
-    routes, zeta = tables
-    A, B, c = routes["direct"]
-    phase = qi._dd_phases(zeta, N, p)
-    coef = np.array([*qi._dd_mul(c, phase[:2]), *qi._dd_mul(c, phase[2:])])
-    n, m = triangle_indices(N)
-    product = qi._dd_mul(A[:, n + m], B[:, n - m - 1])
-    return triangle_sum_dd((*qi._dd_mul(product, coef[:2, n]),
-                            *qi._dd_mul(product, coef[2:, n])))
-
-
-def triangle_double_sum_dd(N, p, tables):
-    """The double double-double round, multiplied out as the direct one."""
-    routes, zeta = tables
-    A, B, c = routes["double"]
-    coef = np.array(qi._dd_cmul(c, qi._dd_phases(zeta, N, p)))
-    n, m = triangle_indices(N)
-    return triangle_sum_dd(qi._dd_cmul(
-        qi._dd_cmul(A[:, n + m], B[:, n - m - 1]), coef[:, n]))
-
-
 class TestRowsTimesPhases:
     """Rows built once per order, times the framing's phases zeta^{p n^2},
-    against the single loops and the whole-triangle double-double sums."""
+    against the single loops."""
 
     CASES = [(3, 1), (5, -3), (7, 4), (12, -7), (37, 2), (40, 9), (64, 10)]
 
@@ -965,24 +920,6 @@ class TestRowsTimesPhases:
                         route_sums(N, p, t, zeta, y, qi._exact), bare, bounds):
                     assert abs(value / D - loop) < bound, (N, p)
 
-    def test_dd_rounds_equal_the_whole_triangle(self):
-        # abs_sum is summed once per order, without the framing's phases
-        # of modulus 1, so it matches each framing's terms to rounding
-        routes = [(qi._direct_sum_f64, triangle_direct_sum_dd),
-                  (qi._double_sum_f64, triangle_double_sum_dd)]
-        for N in range(3, 97):
-            ctx, tables = RootOfUnityContext(N), qi._dd_tables(N)
-            for p in (-40, -17, -6, -1, 0, 1, 2, 7, 23, 40):
-                for rows, whole in routes:
-                    value, abs_sum = rows(ctx, p)
-                    whole_value, whole_abs_sum = whole(N, p, tables)
-                    floor = abs_sum * N * qi._DD_NOISE_PER_UNIT
-                    assert abs(value - whole_value) <= floor, \
-                        (rows.__name__, N, p)
-                    assert abs(abs_sum - whole_abs_sum) \
-                        <= 1e-14 * whole_abs_sum, (rows.__name__, N, p)
-
-
 def full_mp_tables(N, dps):
     """_mp_tables with t_a and y_k computed at every index and the filled
     zeta^j made by mp.mpc from the parts of their source entries; t_a runs
@@ -995,35 +932,6 @@ def full_mp_tables(N, dps):
         t = [2 * zeta[2 * a].imag for a in range(2 * N)]
         y = [1 - zeta[4 * k] for k in range(N)]
     return t, zeta, y
-
-
-def full_dd_tables(N):
-    """_dd_tables from full_mp_tables, in the formulas of _route_tables
-    written out: s_k = (-1)^{k(k-1)/2}, M = N-1-j, B_j of the double sum
-    as zeta^{(j+1)^2 + 2NM - 2M(M+1)} (q)_M, and the whole 4N zeta table
-    split."""
-    order = 4 * N
-
-    def s(k):
-        return (-1) ** (k * (k - 1) // 2)
-
-    with mp.workdps(qi._DD_DPS):
-        t, zeta, y = full_mp_tables(N, qi._DD_DPS)
-        S, poch = [mp.mpf(1)], [mp.mpc(1)]
-        for k in range(1, N):
-            S.append(S[-1] * t[k])
-            poch.append(poch[-1] * y[k])
-        backward = [(j, N - 1 - j) for j in range(N)]
-        direct = ([s(k - 1) * S[k] for k in range(N)],
-                  [s(j) * S[M] for j, M in backward],
-                  [v / (t[1] * t[1] * N) for v in t[:N]])
-        double = ([zeta[-i * i % order] * poch[i] for i in range(N)],
-                  [zeta[((j + 1) ** 2 + 2 * N * M - 2 * M * (M + 1)) % order]
-                   * poch[M] for j, M in backward],
-                  [(zeta[-4 * n % order] - 1) / N for n in range(N)])
-        return ([qi._dd_split(v) for v in direct]
-                + [qi._dd_split_complex(v) for v in double]
-                + [qi._dd_split_complex(zeta)])
 
 
 def all_divisor_fields(N):
@@ -1072,17 +980,6 @@ class TestTableBuilds:
                 assert [v._mpc_ for v in table] == \
                     [v._mpc_ for v in full], (N, dps)
 
-    def test_dd_tables(self):
-        # tobytes, so that the sign of every zero counts
-        for N in [*range(3, 201), 333, 520, 1000]:
-            routes, zeta = qi._dd_tables(N)
-            tables = [*routes["direct"], *routes["double"], zeta]
-            full = full_dd_tables(N)
-            assert len(tables) == len(full) == 7
-            for k, (table, expected) in enumerate(zip(tables, full)):
-                assert table.shape == expected.shape, (N, k)
-                assert table.tobytes() == expected.tobytes(), (N, k)
-
     def test_certificate_fields_and_tables(self):
         for N in range(3, 201):
             fields = qi._certificate_fields(N)
@@ -1090,73 +987,6 @@ class TestTableBuilds:
             for ell, r in fields:
                 t, zeta, y = pow_field_tables(N, ell, r)
                 assert qi._field_tables(N, ell, r) == (t[:N], zeta, y), N
-
-
-def unstacked_cmul(a, b):
-    """_dd_cmul as four _dd_mul calls and two _dd_add calls."""
-    rr = qi._dd_mul(a[:2], b[:2])
-    ii = qi._dd_mul(a[2:], b[2:])
-    ri = qi._dd_mul(a[:2], b[2:])
-    ir = qi._dd_mul(a[2:], b[:2])
-    return (*qi._dd_add(rr, (-ii[0], -ii[1])), *qi._dd_add(ri, ir))
-
-
-class TestStackedProducts:
-    """The stacked double-double products do the arithmetic of the
-    separate ones, entry for entry."""
-
-    @staticmethod
-    def random_dd(rng, shape):
-        hi = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
-        return hi, hi * 2.0 ** -53 * rng.uniform(-1, 1, shape)
-
-    @pytest.mark.parametrize("shape", [(1,), (257,), (7, 33)])
-    def test_complex_product(self, shape):
-        rng = np.random.default_rng(17)
-        a = (*self.random_dd(rng, shape), *self.random_dd(rng, shape))
-        b = (*self.random_dd(rng, shape), *self.random_dd(rng, shape))
-        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-320]
-        for part in (*a, *b):
-            flat = part.reshape(-1)
-            picks = rng.integers(0, flat.size, flat.size // 3 + 1)
-            flat[picks] = rng.choice(special, picks.size)
-        with np.errstate(all="ignore"):
-            stacked = qi._dd_cmul(a, b)
-            expected = unstacked_cmul(a, b)
-            again = qi._dd_cmul(np.array(a), np.array(b))
-        for got, want, other in zip(stacked, expected, again):
-            assert got.shape == want.shape == shape
-            # equal values, nan lanes included, and the same sign of every
-            # zero and infinity; a nan's sign bit is not arithmetic
-            np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(np.signbit(got) | np.isnan(got),
-                                          np.signbit(want) | np.isnan(want))
-            np.testing.assert_array_equal(other, want)
-
-    @staticmethod
-    def unstacked_round_one(N, p, route, rows, zeta):
-        """(value, abs_sum) of round 1 from rows = (rows, abs_sum) built with
-        unstacked_cmul, with the direct dot as two real products and the
-        double dot by unstacked_cmul; zeta is the table of _dd_tables(N)."""
-        rows, abs_sum = rows
-        phase = qi._dd_phases(zeta, N, p)
-        if route == "direct":
-            times = (*qi._dd_mul(rows, phase[:2]), *qi._dd_mul(rows, phase[2:]))
-        else:
-            times = unstacked_cmul(rows, phase)
-        return qi._dd_total(times), abs_sum
-
-    @pytest.mark.parametrize("N", [*range(3, 97), 520])
-    def test_round_one(self, N):
-        # at N = 520 the triangle's rows are built in two blocks
-        framings = range(-40, 41) if N < 97 else (-7, 6, 40)
-        ctx, (routes, zeta) = RootOfUnityContext(N), qi._dd_tables(N)
-        for route, mul in (("direct", qi._dd_mul), ("double", unstacked_cmul)):
-            round_one = getattr(qi, f"_{route}_sum_f64")
-            rows = qi._rows_dd(N, *routes[route], mul)
-            for p in framings:
-                assert repr(round_one(ctx, p)) == repr(self.unstacked_round_one(
-                    N, p, route, rows, zeta)), (route, N, p)
 
 
 class TestFormulaDiscrepancy:
