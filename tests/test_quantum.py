@@ -920,6 +920,7 @@ class TestRowsTimesPhases:
                         route_sums(N, p, t, zeta, y, qi._exact), bare, bounds):
                     assert abs(value / D - loop) < bound, (N, p)
 
+
 def full_mp_tables(N, dps):
     """_mp_tables with t_a and y_k computed at every index and the filled
     zeta^j made by mp.mpc from the parts of their source entries; t_a runs
@@ -987,6 +988,120 @@ class TestTableBuilds:
             for ell, r in fields:
                 t, zeta, y = pow_field_tables(N, ell, r)
                 assert qi._field_tables(N, ell, r) == (t[:N], zeta, y), N
+
+
+class Gaussian:
+    """An exact Gaussian integer re + i im, multiplied and added one pair
+    of entries at a time."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def lift(value):
+        return value if isinstance(value, Gaussian) else Gaussian(value)
+
+    def __add__(self, other):
+        other = self.lift(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = self.lift(other)
+        return Gaussian(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def parts(self, count):
+        """The tuple of parts of _times: (re,) or (re, im)."""
+        return (self.re, self.im)[:count]
+
+
+def gaussians(parts):
+    """The numbers of a tuple of part lists, (re,) or (re, im)."""
+    return [Gaussian(*value) for value in zip(*parts)]
+
+
+def exact_entries(values):
+    """(entries, shift): the mpf or mpc values as Gaussians times 2^-shift,
+    from mpmath's man_exp, which is unsigned, and their signs, with shift
+    minus the least exponent of a nonzero part."""
+
+    def signed(x):
+        man, exp = x.man_exp
+        return -man if x < 0 else man, exp
+
+    parts = [(signed(v.real), signed(v.imag)) for v in values]
+    shift = -min(exp for value in parts for man, exp in value if man)
+    return [Gaussian(*(man * 2 ** (exp + shift) for man, exp in value))
+            for value in parts], shift
+
+
+class TestStackedProducts:
+    """The stacked integer products, _times over part lists, do the
+    arithmetic of the Gaussian products term by term, entry for entry."""
+
+    @pytest.mark.parametrize("shape", [(1,), (257,), (7, 33)])
+    def test_complex_product(self, shape):
+        # rows of a shape (rows, length) are dots of length entries, with
+        # zeros, units and parts past the float range among the entries
+        rng = random.Random(17)
+        rows, length = (1, *shape)[-2:]
+        special = [0, 1, -1, 2 ** 1100, 1 - 2 ** 1100]
+
+        def part():
+            values = [rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 400))
+                      for _ in range(length)]
+            for k in rng.sample(range(length), length // 3 + 1):
+                values[k] = rng.choice(special)
+            return values
+
+        for _ in range(rows):
+            a, b = (part(), part()), (part(), part())
+            for x, y in ((a, b), (a, b[:1]), (a[:1], b), (a[:1], b[:1])):
+                count = max(len(x), len(y))
+                terms = [u * v for u, v in zip(gaussians(x), gaussians(y))]
+                assert qi._times(x, y, qi._dot) == \
+                    sum(terms, Gaussian(0)).parts(count)
+                for k, term in enumerate(terms):
+                    assert qi._times(tuple(v[k] for v in x),
+                                     tuple(v[k] for v in y)) == \
+                        term.parts(count), k
+
+    @staticmethod
+    def unstacked_round_one(N, route):
+        """p -> (value, abs_sum) of route's round 1, from _route_tables over
+        _mp_tables at round 1's digits, as Gaussians summed term by term by
+        _rows and _framed, and rounded once from the exact sums."""
+        t, zeta, y = qi._mp_tables(N, qi._ROUND_ONE_DPS)
+        A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
+        (A, a), (B, b), (c, s), (zeta, z) = map(
+            exact_entries, (A, B, [v / D for v in c], zeta))
+        rows = qi._rows(N, A, B, c, unreduced)
+        moduli = [[math.isqrt(v.re ** 2 + v.im ** 2) for v in table]
+                  for table in (A, B, c)]
+        abs_sum = sum(qi._rows(N, *moduli, unreduced)) / 2 ** (a + b + s)
+
+        def round_one(p):
+            total = qi._framed(N, p, rows, zeta, unreduced)
+            scale = 2 ** (a + b + s + z)
+            return complex(total.re / scale, total.im / scale), abs_sum
+
+        return round_one
+
+    @pytest.mark.parametrize("N", [*range(3, 97), 520])
+    def test_round_one(self, N):
+        # at N = 520 the tables' entries span more than 200 bits
+        framings = range(-40, 41) if N < 97 else (-7, 6, 40)
+        ctx = RootOfUnityContext(N)
+        for route in ("direct", "double"):
+            round_one = getattr(qi, f"_{route}_sum_f64")
+            unstacked = self.unstacked_round_one(N, route)
+            for p in framings:
+                assert repr(round_one(ctx, p)) == repr(unstacked(p)), \
+                    (route, N, p)
 
 
 class TestFormulaDiscrepancy:
