@@ -12,7 +12,7 @@ warnings, since overflow and NaN are part of what is reproduced.
 
 import numpy as np
 
-__all__ = ["add", "sub", "neg", "mul", "quot", "powers"]
+__all__ = ["add", "sub", "neg", "mul", "quot", "power"]
 
 _C_POWI_CUTOFF = 100    # CPython's largest |n| for repeated squaring
 
@@ -53,39 +53,32 @@ def quot(a, b):
     return (re, im), (br == 0) & (bi == 0)
 
 
-def powers(x, *exponents):
-    """(x ** n, raised) for each n, as the Python complex power gives it;
-    raised marks where CPython raises OverflowError or ZeroDivisionError.
+def power(x, n):
+    """(x ** n, raised) as the Python complex power gives it; raised marks
+    where CPython raises OverflowError or ZeroDivisionError.
 
     For 0 < |n| <= 100 CPython multiplies by repeated squaring (c_powu,
-    then 1 / that for n < 0), and the exponents share the squarings. Past
-    that it takes libm's exp/log path, whose results numpy's vectorised
-    transcendentals do not reproduce, so those lanes run one at a time.
+    then 1 / that for n < 0). Past that it takes libm's exp/log path, whose
+    results numpy's vectorised transcendentals do not reproduce, so those
+    lanes run one at a time.
     """
-    small = {abs(n) for n in exponents if 0 < abs(n) <= _C_POWI_CUTOFF}
-    top = max(small, default=0)
-    acc = dict.fromkeys(small, (1.0, 0.0))
-    square, mask = x, 1
-    while mask <= top:
-        for m in acc:
-            if m & mask:
-                acc[m] = mul(acc[m], square)
+    m = abs(n)
+    if m > _C_POWI_CUTOFF:
+        return _libm_power(x, n)
+    if n == 0:      # 1 / 1
+        return ((np.ones(x[0].shape), np.zeros(x[0].shape)),
+                np.zeros(x[0].shape, dtype=bool))
+    result, square, mask = (1.0, 0.0), x, 1
+    while mask <= m:
+        if m & mask:
+            result = mul(result, square)
         mask <<= 1
-        if mask <= top:     # c_powu's last squaring goes unused
+        if mask <= m:     # c_powu's last squaring goes unused
             square = mul(square, square)
-    out = []
-    for n in exponents:
-        if abs(n) > _C_POWI_CUTOFF:
-            out.append(_libm_power(x, n))
-        elif n == 0:      # 1 / 1
-            out.append(((np.ones(x[0].shape), np.zeros(x[0].shape)),
-                        np.zeros(x[0].shape, dtype=bool)))
-        else:
-            power, raised = acc[abs(n)], False
-            if n < 0:
-                power, raised = quot((1.0, 0.0), power)
-            out.append((power, raised | np.isinf(power[0]) | np.isinf(power[1])))
-    return out
+    raised = False
+    if n < 0:
+        result, raised = quot((1.0, 0.0), result)
+    return result, raised | np.isinf(result[0]) | np.isinf(result[1])
 
 
 def _libm_power(x, n):

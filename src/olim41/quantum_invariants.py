@@ -642,11 +642,15 @@ def growth_profile(p, N_values):
 
     Probes the growth class of the invariant: polynomial growth makes the
     /N column decay toward zero while the /log N column stays bounded.
-    An exact zero of tau_N reports -inf in the log columns.
+    An exact zero of tau_N reports -inf in the log columns. tau_N comes
+    from the direct sum at p > 0 and from the double sum, which defines
+    it, at p <= 0.
     """
+    p = checked_integer(p, "surgery coefficient")
+    route = wrt_direct if p > 0 else wrt_double_sum
     rows = []
     for N in sorted(N_values):
-        tau = wrt_direct(RootOfUnityContext(N), p)
+        tau = route(RootOfUnityContext(N), p)
         log_tau = math.log(abs(tau)) if tau != 0 else float("-inf")
         rows.append((N, log_tau, log_tau / N, log_tau / math.log(N)))
     return rows

@@ -221,6 +221,13 @@ class TestSweepCommand:
         _, second, _ = _run(["sweep", "--count", "2"], capsys)
         assert first == second
 
+    def test_past_the_saddle_bound(self, capsys):
+        code, out, err = _run(["sweep", "--start", "1835", "--count", "1"],
+                              capsys)
+        assert (code, err) == (0, "")
+        _, rows = _rows(out)
+        assert [row["label"] for row in rows] == ["geometric-candidate"]
+
     def test_empty_sweep(self, capsys):
         code, out, _ = _run(["sweep", "--count", "0"], capsys)
         assert code == 0

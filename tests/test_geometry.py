@@ -179,3 +179,12 @@ class TestNeumannZagierRate:
         for p, pt in zip(framings, track_geometric(framings)):
             e = pt.value - limit_infinity() - PI ** 2 / (p + 2j * math.sqrt(3))
             assert abs(e) * p ** 4 <= 230, p
+
+    @pytest.mark.parametrize("p", [1835, 1862, 2350, 10 ** 4, 10 ** 6])
+    def test_far_framings(self, p):
+        # far past solve_fig8's |p| <= 136 the continuation stands alone;
+        # at p = 1835 its Newton stalls at a residual of 1.01e-13, just
+        # above the stopping tolerance, on a point that meets the 1e-10 bound
+        pt, = track_geometric([p])
+        e = pt.value - limit_infinity() - PI ** 2 / (p + 2j * math.sqrt(3))
+        assert abs(e) < 1e-10

@@ -1124,6 +1124,15 @@ class TestGrowthProfile:
             assert abs(per_N - log_tau / N) < 1e-15
             assert abs(per_log_N - log_tau / math.log(N)) < 1e-12
 
+    def test_amphichiral_framings(self):
+        # M_{-p} is M_p with its orientation reversed, so |tau_N| agrees;
+        # p = -6 runs the double sum, p = 6 the direct one
+        orders = [30, 100, 200, 500]
+        for plus, minus in zip(growth_profile(6, orders),
+                               growth_profile(-6, orders)):
+            assert plus[0] == minus[0]
+            assert max(abs(a - b) for a, b in zip(plus[1:], minus[1:])) < 1e-12
+
     def test_exact_zero_reports_minus_inf(self, monkeypatch):
         import olim41.quantum_invariants as qi
         monkeypatch.setattr(qi, "wrt_direct", lambda ctx, p: 0j)

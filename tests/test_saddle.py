@@ -135,12 +135,16 @@ class TestGeometricTable:
             assert abs(geo[0].omega - omega) < 1e-9, f"p={p}"
 
     def test_track_matches_solve(self):
-        tracked = track_geometric([6, 10, 14])
-        for p, pt in zip([6, 10, 14], tracked):
+        # track_geometric has no enumeration to fall back on: from its own
+        # starts, alone and along one sequence, it must reach the point
+        # solve_fig8 labels geometric
+        framings = [5, 6, 7, 10, 13, 14, 40, 101, 136]
+        for p, pt in zip(framings, track_geometric(framings)):
             geo = [q for q in solve_fig8(p) if q.label == "geometric-candidate"][0]
-            assert abs(pt.zeta - geo.zeta) < 1e-10
-            assert abs(pt.omega - geo.omega) < 1e-10
-            assert pt.label == "geometric-candidate"
+            for tracked in (pt, track_geometric([p])[0]):
+                assert abs(tracked.zeta - geo.zeta) < 1e-10, p
+                assert abs(tracked.omega - geo.omega) < 1e-10, p
+                assert tracked.label == "geometric-candidate"
 
     def test_track_needs_positive_framing(self):
         with pytest.raises(DomainError):
