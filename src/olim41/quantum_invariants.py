@@ -20,18 +20,18 @@ Every round of each route is one exact integer sum: the tables of
 _route_tables over _mp_tables(N, dps), with c/D for c, and zeta^j are
 converted exactly to integers times powers of two (_fixed), each row is an
 exact integer dot (_fixed_rows), and a framing is one exact dot of the N
-rows with its phases, rounded once to complex (_fixed_value). So all error
+rows with its phases, rounded once to complex (_bare_sum). So all error
 lies in the mpmath tables, and one noise floor, derived in _noise_floor,
 serves every round. The sum cancels severely (individual terms grow like
 exp(0.32*N) while tau_N stays polynomially bounded; about 0.14*N + 4
 digits are lost), so each round is checked against a 1e-12 relative
-budget. Round 1 (_direct_sum_f64, _double_sum_f64) runs at _ROUND_ONE_DPS
-digits, reports the summed magnitude abs_sum of the sum's terms with its
-value, and builds its rows and abs_sum once per order, so a framing costs
-one dot of N terms. At p = 6 it meets the budget up to N = 180. Later
-rounds replay the same sum at a precision taken from the cancellation the
-previous round measured. A round whose result is itself rounding noise
-escalates again at twice its digits or more.
+budget. Round 1 (_direct_sum_f64, _double_sum_f64) is this sum at
+_ROUND_ONE_DPS digits, and reports the summed magnitude abs_sum of the
+sum's terms with its value. At p = 6 it meets the budget up to N = 180.
+Later rounds (_direct_sum_mp, _double_sum_mp) are the same sum at a
+precision taken from the cancellation the previous round measured. A
+round whose result is itself rounding noise escalates again at twice its
+digits or more.
 
 An exact zero of tau_N never clears the budget, so a round 1 that misses
 it triggers a zero certificate. For a prime l = 1 (mod 4N) the ring map
@@ -40,9 +40,10 @@ exactly; the certificate runs _rows over the images of the tables
 (_field_image) and skips D, a unit there. A sum whose image vanishes modulo
 two such primes is returned as exact 0j; any other escalates on, and at
 the round cap raises PrecisionExhaustedError instead of returning rounding
-noise. Every table and row set built per order, of round 1 and the
-certificate, is kept on the caller's RootOfUnityContext, so a further
-framing costs O(N). Public functions return Python complex.
+noise. Every table and row set built per order, of each round at its
+digits and of the certificate, is kept on the caller's
+RootOfUnityContext, so a further framing costs O(N) per round it runs.
+Public functions return Python complex.
 
 Precision lives on the tables: _mp_tables builds each in a private mpmath
 context at its digits (_mp_context), so all arithmetic on their entries
@@ -54,6 +55,7 @@ they change mpmath's precision themselves.
 """
 
 import cmath
+import itertools
 import math
 import operator
 import threading
@@ -94,10 +96,11 @@ class RootOfUnityContext:
     """The root of unity q = exp(2*pi*i/N) and its fractional powers.
 
     It also keeps, as long as it lives, what tau evaluations build once
-    per order, each set on first use: round 1's integer rows and abs_sum
-    per route, and the zero certificate's fields with their F_l tables and
-    rows. Shareable across threads without a lock: two threads that race
-    on one set may each build it, and the builds agree.
+    per order, each set on first use: the integer rows of each route at
+    each round's digits, with abs_sum at round 1's, the float-range bound,
+    and the zero certificate's fields with their F_l tables and rows.
+    Shareable across threads without a lock: two threads that race on one
+    set may each build it, and the builds agree.
     """
 
     __slots__ = ("N", "q", "_state")
@@ -194,21 +197,19 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
     digits has the noise floor _noise_floor(abs_sum, N, dps). If round 1
     misses the budget, _certified_zero(ctx, p, route) is asked whether the
     sum is exactly zero, and if so 0j is returned. Up to _MAX_ESCALATIONS
-    rounds of replay(N, p, dps) follow. Each picks its precision from the
+    rounds of replay(ctx, p, dps) follow. Each picks its precision from the
     digits lost against the larger of the current value and the current
     floor, plus _GUARD_DPS. After a round whose value lies within its own
     floor, and so resolved no digit, it takes at least twice that round's
     digits; the guard alone would add only 22 digits a round.
     errors: DomainError when round 1 is not finite (its abs_sum passes the
     float range from N = 2137 in the direct sum and N = 2173 in the double
-    sum); PrecisionExhaustedError when the last replay still misses the
-    budget.
+    sum; _check_float_range stops most such orders before round 1);
+    PrecisionExhaustedError when the last replay still misses the budget.
     """
     N = ctx.N
     if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
-        raise DomainError(
-            f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
-            f"float range at N = {N}")
+        raise _past_float_range(N, p)
     dps = _ROUND_ONE_DPS
     noise = _noise_floor(abs_sum, N, dps)
     for rounds in range(_MAX_ESCALATIONS + 1):
@@ -222,13 +223,58 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
         lost = max(math.log10(abs_sum) - math.log10(floor), 0.0)
         dps = max(_GUARD_DPS + int(math.ceil(lost)), dps + 1,
                   2 * dps if abs(value) <= noise else 0)
-        value = replay(N, p, dps)
+        value = replay(ctx, p, dps)
         noise = _noise_floor(abs_sum, N, dps)
     raise PrecisionExhaustedError(
         f"tau_{N}(M_{p}): round 1 and {_MAX_ESCALATIONS} replays up to "
         f"{dps} digits missed the {_RELATIVE_BUDGET:g} relative budget, "
         f"and the sum is not certified zero"
     )
+
+
+def _past_float_range(N, p):
+    return DomainError(
+        f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
+        f"float range at N = {N}")
+
+
+def _log_largest_terms(N):
+    """{route: a lower bound on log abs_sum}: the log of the largest term
+    of the middle row n = N // 2 of route's bare sum, less a margin for
+    the rounding of the logs. O(N) floats.
+
+    In both routes |A_k| = S_k and |B_j| = S_{N-1-j}, as |1 - q^j| = t_j,
+    so term m of row n has modulus t_n S_{n+m} S_{N-n+m} / N in the double
+    sum and t_1^-2 times that in the direct sum. Its log is read from the
+    prefix sums L_k = sum_{a<=k} log t_a, with t_a = t_{N-a} taken from
+    sin at an argument of at most pi/2: each log t_a is then within
+    (5 + ln N) 2^-53, as |log t_a| <= ln N, and each of the at most 2N
+    additions behind a term within N ln N 2^-53. A term's log is so within
+    N^2 (1 + ln N) 2^-50 for N >= 3, and the margin N^2 (1 + ln N) 2^-48
+    also covers abs_sum's own rounding (the tables' 40 digits, the moduli
+    rounded down to the unit and the one rounding to float, each relative
+    and below 2^-100 N) and the 1e-13 of 1024 ln 2 at the orders where the
+    bound comes near it. Every term is at most abs_sum.
+    """
+    n = N // 2
+    logs = [math.log(2 * math.sin(math.pi * min(a, N - a) / N))
+            for a in range(1, N)]
+    L = [0.0, *itertools.accumulate(logs)]
+    largest = max(L[n + m] + L[N - n + m] for m in range(min(n, N - n)))
+    double = logs[n - 1] + largest - math.log(N) \
+        - N * N * (1 + math.log(N)) * 2.0 ** -48
+    return {"double": double, "direct": double - 2 * logs[0]}
+
+
+def _check_float_range(ctx, p, route):
+    """Raise DomainError before round 1 when route's abs_sum is sure to
+    pass the float range, 2^1024, from the bound _log_largest_terms keeps
+    on ctx. The bound passes it from N = 2159 in the direct sum and
+    N = 2195 in the double sum; abs_sum itself does from 2137 and 2173,
+    which _escalated catches after round 1."""
+    if ctx._kept(_log_largest_terms, _log_largest_terms, ctx.N)[route] \
+            > 1024 * math.log(2):
+        raise _past_float_range(ctx.N, p)
 
 
 def _noise_floor(abs_sum, N, dps):
@@ -529,67 +575,60 @@ def _fixed_rows(N, A, B, c):
     return tuple(map(list, zip(*rows)))
 
 
-def _fixed_value(N, p, rows, zeta, shift):
-    """The framing's dot sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, exactly,
-    times 2^-shift and rounded once to complex (_to_float)."""
-    order = 4 * N
+def _fixed_sum(N, dps, route):
+    """(rows, zeta, shift, abs_sum) of route's bare sum at dps digits:
+    _fixed_rows and zeta^j of _fixed_tables(N, dps, route), and the shift
+    of a framing's dot of the two.
+
+    abs_sum, the summed moduli of the bare sum's terms, is summed from the
+    same tables at _ROUND_ONE_DPS digits, the round that reports it, and is
+    None at any other digits. A term is a row's term times c_n/D
+    zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum is the rows over the
+    moduli of the entries, each to the unit below, and does not depend on
+    the framing.
+    """
+    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, dps, route)
+    abs_sum = None
+    if dps == _ROUND_ONE_DPS:
+        moduli = [([math.isqrt(_dot(entry, entry)) for entry in zip(*table)],)
+                  for table in (A, B, c)]
+        (magnitudes,) = _fixed_rows(N, *moduli)
+        abs_sum = _to_float(sum(magnitudes), a + b + s)
+    return _fixed_rows(N, A, B, c), zeta, a + b + s + z, abs_sum
+
+
+def _bare_sum(ctx, p, route, dps):
+    """(value, abs_sum) of route's bare sum at dps digits: the framing's
+    exact dot sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2} of _fixed_sum, whose
+    result is kept on ctx under (route, dps), times 2^-shift and rounded
+    once to complex (_to_float). A further framing costs one dot of N
+    terms."""
+    N, order = ctx.N, 4 * ctx.N
+    rows, zeta, shift, abs_sum = ctx._kept((route, dps), _fixed_sum,
+                                           N, dps, route)
     p %= order
     index = [p * n * n % order for n in range(1, N)]
     phases = tuple([part[j] for j in index] for part in zeta)
-    return complex(*(_to_float(v, shift) for v in _times(rows, phases, _dot)))
+    value = complex(*(_to_float(v, shift) for v in _times(rows, phases, _dot)))
+    return value, abs_sum
 
 
-def _round_one_rows(N, route):
-    """(rows, zeta, shift, abs_sum) of route's round 1: _fixed_rows and
-    zeta^j at _ROUND_ONE_DPS digits, the shift of their products, and
-    abs_sum, the summed moduli of the bare sum's terms. A term is a row's
-    term times c_n/D zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum is
-    the rows over the moduli of the entries, each to the unit below, and
-    does not depend on the framing.
-    """
-    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, _ROUND_ONE_DPS, route)
-    moduli = [([math.isqrt(_dot(entry, entry)) for entry in zip(*table)],)
-              for table in (A, B, c)]
-    (magnitudes,) = _fixed_rows(N, *moduli)
-    return (_fixed_rows(N, A, B, c), zeta, a + b + s + z,
-            _to_float(sum(magnitudes), a + b + s))
-
-
-def _round_one(ctx, p, route):
-    """(value, abs_sum) of route's bare sum from the rows kept on ctx: one
-    dot of N terms per framing."""
-    rows, zeta, shift, abs_sum = ctx._kept(route, _round_one_rows, ctx.N, route)
-    return _fixed_value(ctx.N, p, rows, zeta, shift), abs_sum
-
-
+# Round 1 and the replays of each route, the names bench/tracing.py wraps:
+# its kernels boundary keeps the name of the float64 pass round 1 replaced.
 def _direct_sum_f64(ctx, p):
-    """Round 1 of the bare direct sum.
-
-    The name is that of the float64 pass this round replaced:
-    bench/tracing.py wraps it, and _double_sum_f64, as its kernels
-    boundary.
-    """
-    return _round_one(ctx, p, "direct")
+    return _bare_sum(ctx, p, "direct", _ROUND_ONE_DPS)
 
 
 def _double_sum_f64(ctx, p):
-    """Round 1 of the bare double sum."""
-    return _round_one(ctx, p, "double")
+    return _bare_sum(ctx, p, "double", _ROUND_ONE_DPS)
 
 
-def _replay(N, p, dps, route):
-    """route's bare sum at dps digits: round 1's exact integer sum over the
-    tables at dps."""
-    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, dps, route)
-    return _fixed_value(N, p, _fixed_rows(N, A, B, c), zeta, a + b + s + z)
+def _direct_sum_mp(ctx, p, dps):
+    return _bare_sum(ctx, p, "direct", dps)[0]
 
 
-def _direct_sum_mp(N, p, dps):
-    return _replay(N, p, dps, "direct")
-
-
-def _double_sum_mp(N, p, dps):
-    return _replay(N, p, dps, "double")
+def _double_sum_mp(ctx, p, dps):
+    return _bare_sum(ctx, p, "double", dps)[0]
 
 
 def wrt_direct(ctx, p):
@@ -606,6 +645,7 @@ def wrt_direct(ctx, p):
         raise UnsupportedFramingError(
             f"direct form requires a positive surgery coefficient, got {p}"
         )
+    _check_float_range(ctx, p, "direct")
     value, abs_sum = _direct_sum_f64(ctx, p)
     value = _escalated(value, abs_sum, ctx, p, _direct_sum_mp, "direct")
     if not value:
@@ -629,6 +669,7 @@ def wrt_double_sum(ctx, p):
     1 <= |p| <= 8, where exact zeros pair with exact zeros.
     """
     p = checked_integer(p, "surgery coefficient")
+    _check_float_range(ctx, p, "double")
     value, abs_sum = _double_sum_f64(ctx, p)
     value = _escalated(value, abs_sum, ctx, p, _double_sum_mp, "double")
     if not value:

@@ -35,8 +35,9 @@ arrays would cost more than they save.
 One test, in _polished, which track_geometric shares, decides whether a
 Newton root becomes a candidate: it is no spurious root of clearing
 (s = 0, w = 0), its (z, w), snapped onto the real/imaginary axes within
-rounding distance, meets the 1e-10 residual bound on one square-root
-sheet, and z != 1, where the gradient is singular. Whether Newton reached
+rounding distance, meets the residual bound on one square-root sheet
+(1e-10, or 8 |p| 2^-53 past |p| = 1.1e5, where s^p rounds coarser), and
+z != 1, where the gradient is singular. Whether Newton reached
 its own 1e-13 stopping tolerance does not enter: that flag is a
 diagnostic. Candidates are then deduplicated in (z, w), branch-corrected,
 classified, and returned in a deterministic order. Dropped candidates are
@@ -72,7 +73,7 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-_RESIDUAL_BOUND = 1e-10     # polished points must satisfy the system this well
+_RESIDUAL_BOUND = 1e-10     # residual bound of polished points, |p| < 1.1e5
 _SPURIOUS_RADIUS = 1e-8     # |s|, |w|, or |z - 1| below this is a cleared root
 _SNAP_EPS = 1e-12           # relative distance for snapping onto an axis
 _NEWTON_TOLERANCE = 1e-13   # residual at which Newton stops
@@ -418,20 +419,31 @@ def residual_fig8(p, zeta, omega):
 
 def _polished(p, roots):
     """(s, z, w, residual, sheet) for each Newton result (s, w, residual, ok)
-    that is no cleared root, meets _RESIDUAL_BOUND snapped to the axes and
-    has z != 1; each dropped root is logged. s is the raw root.
+    that is no cleared root, meets the residual bound snapped to the axes
+    and has z != 1; each dropped root is logged. s is the raw root.
 
     This is the one test a Newton root must pass to become a point. ok is
     not read: a root on which Newton gave up just above _NEWTON_TOLERANCE
     (at 1.01e-13, at p = 1835) is as good a point as one that reached it.
+
+    The bound is _RESIDUAL_BOUND, or 8 |p| 2^-53 where that is larger, from
+    |p| = 2^50 * 1e-10 = 1.1e5 on. The defect f1 = s^p u - w + z carries
+    the rounding of s^p, which grows with p: the float s nearest the root
+    lies within 2^-53 |s| of it, which moves s^p by p 2^-53 of itself, and
+    s ** p rounds |s| by 2^-53 more before raising it to p, and the phase
+    p arg s by |p arg s| 2^-53 <= p pi 2^-53. That is (2 + pi) p 2^-53 of
+    |s^p u| = |w - z|, about 1 on the geometric branch at large p, and
+    8 p 2^-53 covers it. Newton ends at 1.66e-10 at p = 3e6, 2.61e-10 at
+    1e7 and 2.19e-9 at 1e8, each below p 2^-53.
     """
+    bound = max(_RESIDUAL_BOUND, abs(p) * 2.0 ** -50)
     for s, w, _, _ in roots:
         if abs(s) < _SPURIOUS_RADIUS or abs(w) < _SPURIOUS_RADIUS:
             _log.debug("discarding cleared root s=%s w=%s", s, w)
             continue
         z, w = _snap_axis(s * s), _snap_axis(w)
         residual, sheet = _sheet_residual(p, z, w)
-        if residual >= _RESIDUAL_BOUND:
+        if residual >= bound:
             _log.debug("candidate (%s, %s) fails the residual bound: %.3g",
                        z, w, residual)
             continue
@@ -588,12 +600,12 @@ def track_geometric(p_values):
     e^{-i pi/3}) and from the previous framing's solution, which is far
     cheaper than full enumeration. Their roots pass the test of
     solve_fig8's points (_polished), and the first with Im V > 0 is the
-    point. A framing where neither start gives one raises DomainError: at
-    p = 1..4, which have no hyperbolic structure, and at p = 3e6 and 1e7,
-    where rounding in s^p keeps Newton's residual above the 1e-10 bound
-    (1.7e-10 at 3e6, 5.4e-11 at 1e6). No framing in 5..2999 raises, nor
-    600 random ones up to 1e6, singly or in sequence; at p <= 136 the
-    point is solve_fig8's geometric candidate to 7.8e-15.
+    point. A framing where neither start gives one raises DomainError, as
+    at p = 1..4, which have no hyperbolic structure. No framing in 5..2999
+    raises, nor 600 random ones up to 1e6, singly or in sequence, nor
+    3e6, 1e7 and 1e8, where _polished's bound grows with the rounding of
+    s^p; at p <= 136 the point is solve_fig8's geometric candidate to
+    7.8e-15.
     """
     results = []
     previous = None

@@ -347,10 +347,10 @@ class TestRepeatedCalls:
         # the benchmark's tau-grid runs each order's framings one after
         # another; the rows are built once per order, not per framing
         builds = []
-        build = quantum_invariants._round_one_rows
-        monkeypatch.setattr(quantum_invariants, "_round_one_rows",
-                            lambda N, route: builds.append((N, route))
-                            or build(N, route))
+        build = quantum_invariants._fixed_sum
+        monkeypatch.setattr(quantum_invariants, "_fixed_sum",
+                            lambda N, dps, route: builds.append((N, route, dps))
+                            or build(N, dps, route))
         cli._context.cache_clear()
         for N, p in ((33, 1), (33, 2), (33, 3), (34, 1)):
             code, out, _ = _run(["wrt", "--N", str(N), "--p", str(p),
@@ -358,7 +358,7 @@ class TestRepeatedCalls:
             assert code == 0
             _, rows = _rows(out)
             assert float(rows[0]["discrepancy"]) < 1e-9
-        assert builds == [(N, route) for N in (33, 34)
+        assert builds == [(N, route, 40) for N in (33, 34)
                           for route in ("direct", "double")]
 
     def test_good_call_after_usage_error(self, capsys):

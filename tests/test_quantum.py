@@ -13,6 +13,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -311,7 +312,7 @@ class TestF64Pass:
     @pytest.mark.parametrize("p", [22, 33, 42, 44, 46, 55, 66])
     def test_direct_route_meets_the_budget(self, p):
         ctx = RootOfUnityContext(22)
-        exact = qi._prefactor(ctx, p) * qi._direct_sum_mp(22, p, 50)
+        exact = qi._prefactor(ctx, p) * qi._direct_sum_mp(ctx, p, 50)
         assert abs(wrt_direct(ctx, p) - exact) <= 1e-12 * abs(exact)
 
 
@@ -380,6 +381,41 @@ class TestCertifiedZeros:
         assert captured.err.count("\n") == 1
 
 
+class TestFloatRange:
+    """abs_sum passes the float range from N = 2137 (direct) and N = 2173
+    (double). A lower bound on it, in O(N) floats, stops the orders from
+    N = 2159 and N = 2195 before any table is built; round 1 stops the
+    orders between."""
+
+    def test_bound_below_abs_sum(self):
+        for N in range(3, 301):
+            ctx, bound = RootOfUnityContext(N), qi._log_largest_terms(N)
+            for route in ("direct", "double"):
+                _, abs_sum = getattr(qi, f"_{route}_sum_f64")(ctx, 1)
+                assert bound[route] <= math.log(abs_sum), (N, route)
+
+    def test_far_order_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["wrt", "--N", "100000", "--p", "1"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "N = 100000" in captured.err
+        assert elapsed < 2
+
+    def test_orders_below_the_bound_stop_at_round_one(self, monkeypatch):
+        overflow = lambda ctx, p: (complex(math.nan, math.nan), math.inf)
+        monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
+        monkeypatch.setattr(qi, "_double_sum_f64", overflow)
+        with pytest.raises(DomainError, match="N = 2158"):
+            wrt_direct(RootOfUnityContext(2158), 6)
+        with pytest.raises(DomainError, match="N = 2194"):
+            wrt_double_sum(RootOfUnityContext(2194), 6)
+
+
 def counted(monkeypatch, name):
     """Replace qi.<name> with a wrapper that records the arguments of
     each call, and return the list of them."""
@@ -403,14 +439,26 @@ class TestStatePerContext:
 
     def test_round_one_rows_built_once_per_order(self, monkeypatch):
         # the framing outer, so every order comes back at each framing
-        builds = counted(monkeypatch, "_round_one_rows")
+        builds = counted(monkeypatch, "_fixed_sum")
         contexts = [RootOfUnityContext(N) for N in self.ORDERS]
         for p in range(1, 11):
             for ctx in contexts:
                 direct, double = wrt_direct(ctx, p), wrt_double_sum(ctx, p)
                 assert formula_discrepancy(direct, double) < 1e-9, (ctx, p)
-        assert builds == [(N, route) for N in self.ORDERS
-                          for route in ("direct", "double")]
+        assert [(N, route, dps) for N, dps, route in builds] == \
+            [(N, route, 40) for N in self.ORDERS for route in ("direct", "double")]
+
+    def test_replay_rows_built_once_per_digits(self, monkeypatch):
+        # past N = 180 every framing replays; a framing that comes back, or
+        # another that replays at digits already built, reuses their rows
+        framings = (6, 7, 10, 6)
+        expected = [repr(wrt_direct(RootOfUnityContext(500), p))
+                    for p in framings]
+        builds = counted(monkeypatch, "_fixed_sum")
+        ctx = RootOfUnityContext(500)
+        assert [repr(wrt_direct(ctx, p)) for p in framings] == expected
+        assert len(builds) == len(set(builds))
+        assert (500, 40, "direct") in builds and len(builds) > 1
 
     def test_certificate_built_once_per_field(self, monkeypatch):
         orders = (33, 35, 37)
@@ -525,7 +573,8 @@ class TestPrecisionOnTheTables:
     def test_concurrent_replays(self, monkeypatch):
         pairs = [(202, 3), (208, 5), (214, 6), (220, 7)]
         expected = {pair: self.both_routes(*pair) for pair in pairs}
-        replays = counted(monkeypatch, "_replay")
+        replays = {name: counted(monkeypatch, name)
+                   for name in ("_direct_sum_mp", "_double_sum_mp")}
         qi._mp_tables.cache_clear()
         results = []
 
@@ -547,7 +596,8 @@ class TestPrecisionOnTheTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(replays) >= 2 * len(results) == 8 * len(pairs)
+        assert sum(map(len, replays.values())) >= 2 * len(results) == \
+            8 * len(pairs)
         for pair, values in results:
             assert values == expected[pair], pair
 
@@ -779,7 +829,7 @@ class TestOneElementOfZZeta:
                 assert abs(new_double / D_double - double.at(root)) < 1e-45
                 bare = complex(bare)
             # one rounding to f64; the zeros are 50-digit noise
-            replay = qi._direct_sum_mp(N, p, 50)
+            replay = qi._direct_sum_mp(RootOfUnityContext(N), p, 50)
             assert abs(replay - bare) <= 1e-15 * abs(bare) + 1e-45, (N, p)
 
     def test_pochhammer_magnitude_product(self):
