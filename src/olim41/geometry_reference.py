@@ -94,10 +94,11 @@ def load_references(path):
     header. A user row replaces the builtin with the same p; duplicate p
     within the file, malformed fields, or negative volume raise
     ReferenceDataError with the offending line number, and a file that
-    cannot be read as UTF-8 text raises it with the path.
+    cannot be read as UTF-8 text raises it with the path. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except (OSError, UnicodeError) as exc:
         raise ReferenceDataError(

@@ -13,19 +13,21 @@ where each entry of A and B is a sign or a power of zeta times a prefix
 product, S_k = prod_{a<=k} 2 sin(pi a/N) or (q)_k = prod_{j<=k} (1 - q^j).
 A reads the products forward and B backward, so no table divides; the
 only division is by D. The framing enters only through the phase
-zeta^{p n^2} of row n, so each ring sums its rows once (_rows) and a
-framing costs one dot of the N rows with its phases (_framed).
+zeta^{p n^2} of row n. So in every ring one row builder (_fixed_rows)
+sums the rows once, each an exact dot of integer tables, and a framing
+costs one exact dot of the N rows with its phases, by one framing dot
+(_framing_dot).
 
 Every round of each route is one exact integer sum: the tables of
 _route_tables over _mp_tables(N, dps), with c/D for c, and zeta^j are
-converted exactly to integers times powers of two (_fixed), each row is an
-exact integer dot (_fixed_rows), and a framing is one exact dot of the N
-rows with its phases, rounded once to complex (_bare_sum). So all error
-lies in the mpmath tables, and one noise floor, derived in _noise_floor,
+converted exactly to integers times powers of two (_fixed), and a
+framing's dot is rounded once to complex (_bare_sum). So all error lies
+in the mpmath tables, and one noise floor, derived in _noise_floor,
 serves every round. The sum cancels severely (individual terms grow like
 exp(0.32*N) while tau_N stays polynomially bounded; about 0.14*N + 4
 digits are lost), so each round is checked against a 1e-12 relative
-budget. Round 1 (_direct_sum_f64, _double_sum_f64) is this sum at
+budget by one resolver (_resolved), which wrt_direct and wrt_double_sum
+share. Round 1 (_direct_sum_f64, _double_sum_f64) is this sum at
 _ROUND_ONE_DPS digits, and reports the summed magnitude abs_sum of the
 sum's terms with its value. At p = 6 it meets the budget up to N = 180.
 Later rounds (_direct_sum_mp, _double_sum_mp) are the same sum at a
@@ -36,8 +38,9 @@ digits or more.
 An exact zero of tau_N never clears the budget, so a round 1 that misses
 it triggers a zero certificate. For a prime l = 1 (mod 4N) the ring map
 sending zeta to a primitive 4N-th root of unity in F_l evaluates both sums
-exactly; the certificate runs _rows over the images of the tables
-(_field_image) and skips D, a unit there. A sum whose image vanishes modulo
+exactly; the certificate runs the same row builder and framing dot over
+the images of the tables (_field_image), reduced mod l once per row, and
+skips D, a unit there. A sum whose image vanishes modulo
 two such primes is returned as exact 0j; any other escalates on, and at
 the round cap raises PrecisionExhaustedError instead of returning rounding
 noise. Every table and row set built per order, of each round at its
@@ -189,27 +192,43 @@ def _prefactor(ctx, p):
     )
 
 
-def _escalated(value, abs_sum, ctx, p, replay, route):
-    """Resolve the cancellation in round 1's (value, abs_sum) of route
-    ("direct" or "double") to the relative budget.
+def _resolved(ctx, p, route):
+    """route's ("direct" or "double") bare sum at framing p, resolved to
+    the relative budget: round 1, then the certificate, then the replays.
 
-    value starts as round 1, at _ROUND_ONE_DPS digits. A round at dps
-    digits has the noise floor _noise_floor(abs_sum, N, dps). If round 1
-    misses the budget, _certified_zero(ctx, p, route) is asked whether the
-    sum is exactly zero, and if so 0j is returned. Up to _MAX_ESCALATIONS
-    rounds of replay(ctx, p, dps) follow. Each picks its precision from the
-    digits lost against the larger of the current value and the current
-    floor, plus _GUARD_DPS. After a round whose value lies within its own
-    floor, and so resolved no digit, it takes at least twice that round's
-    digits; the guard alone would add only 22 digits a round.
-    errors: DomainError when round 1 is not finite (its abs_sum passes the
-    float range from N = 2137 in the direct sum and N = 2173 in the double
-    sum; _check_float_range stops most such orders before round 1);
-    PrecisionExhaustedError when the last replay still misses the budget.
+    First, before any table is built, DomainError is raised when the bound
+    _log_largest_terms keeps on ctx says abs_sum passes the float range,
+    2^1024: from N = 2159 in the direct sum and N = 2195 in the double sum.
+    Round 1 (_direct_sum_f64, _double_sum_f64) then gives (value, abs_sum)
+    at _ROUND_ONE_DPS digits, and the same error is raised when either is
+    not finite, as abs_sum passes the float range from N = 2137 (direct)
+    and N = 2173 (double). A round at dps digits has the noise floor
+    _noise_floor(abs_sum, N, dps). If round 1 misses the budget,
+    _certified_zero(ctx, p, route) is asked whether the sum is exactly
+    zero, and if so 0j is returned. Up to _MAX_ESCALATIONS replays
+    (_direct_sum_mp, _double_sum_mp) follow. Each picks its precision from
+    the digits lost against the larger of the current value and the
+    current floor, plus _GUARD_DPS. After a round whose value lies within
+    its own floor, and so resolved no digit, it takes at least twice that
+    round's digits; the guard alone would add only 22 digits a round. The
+    round functions are looked up by name at each call.
+    errors: DomainError past the float range; PrecisionExhaustedError when
+    the last replay still misses the budget.
     """
     N = ctx.N
-    if not (cmath.isfinite(value) and math.isfinite(abs_sum)):
-        raise _past_float_range(N, p)
+    if route == "direct":
+        round_one, replay = _direct_sum_f64, _direct_sum_mp
+    else:
+        round_one, replay = _double_sum_f64, _double_sum_mp
+    past = ctx._kept(_log_largest_terms, _log_largest_terms, N)[route] \
+        > 1024 * math.log(2)
+    if not past:
+        value, abs_sum = round_one(ctx, p)
+        past = not (cmath.isfinite(value) and math.isfinite(abs_sum))
+    if past:
+        raise DomainError(
+            f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
+            f"float range at N = {N}")
     dps = _ROUND_ONE_DPS
     noise = _noise_floor(abs_sum, N, dps)
     for rounds in range(_MAX_ESCALATIONS + 1):
@@ -230,12 +249,6 @@ def _escalated(value, abs_sum, ctx, p, replay, route):
         f"{dps} digits missed the {_RELATIVE_BUDGET:g} relative budget, "
         f"and the sum is not certified zero"
     )
-
-
-def _past_float_range(N, p):
-    return DomainError(
-        f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
-        f"float range at N = {N}")
 
 
 def _log_largest_terms(N):
@@ -264,17 +277,6 @@ def _log_largest_terms(N):
     double = logs[n - 1] + largest - math.log(N) \
         - N * N * (1 + math.log(N)) * 2.0 ** -48
     return {"double": double, "direct": double - 2 * logs[0]}
-
-
-def _check_float_range(ctx, p, route):
-    """Raise DomainError before round 1 when route's abs_sum is sure to
-    pass the float range, 2^1024, from the bound _log_largest_terms keeps
-    on ctx. The bound passes it from N = 2159 in the direct sum and
-    N = 2195 in the double sum; abs_sum itself does from 2137 and 2173,
-    which _escalated catches after round 1."""
-    if ctx._kept(_log_largest_terms, _log_largest_terms, ctx.N)[route] \
-            > 1024 * math.log(2):
-        raise _past_float_range(ctx.N, p)
 
 
 def _noise_floor(abs_sum, N, dps):
@@ -355,23 +357,6 @@ def _route_tables(N, t, zeta, y, route, reduce):
             [reduce(v) for v in c], reduce(D))
 
 
-def _rows(N, A, B, c, reduce):
-    """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
-    D times the bare sum, from the tables of _route_tables: each term is
-    one product of two table entries."""
-    return [reduce(c[n] * sum(map(operator.mul, A[n:], B[n - 1::-1])))
-            for n in range(1, N)]
-
-
-def _framed(N, p, rows, zeta, reduce):
-    """sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, the framing's only part in
-    either sum."""
-    total = 0
-    for n, row in enumerate(rows, 1):
-        total += row * zeta[(p * n * n) % (4 * N)]
-    return reduce(total)
-
-
 def _is_prime(n):
     """Miller-Rabin with the first thirteen prime bases, exact for n < 3.3e24."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -442,8 +427,11 @@ def _field_tables(N, ell, r):
 def _field_image(ctx, p, route, field):
     """Image in F_l, field = (l, r), under zeta -> r of D times route's
     bare sum, D of _route_tables: a unit of F_l, so the image vanishes
-    exactly when the sum's does. The field's tables and rows are kept on
-    ctx, so a further framing costs N terms.
+    exactly when the sum's does. The rows are _fixed_rows over the
+    tables' images as one-part integer tables, each row reduced mod l
+    once, and the framing is their _framing_dot with the images of zeta^j,
+    as in every round. The field's tables and rows are kept on ctx, so a
+    further framing costs N terms.
     """
     N, (ell, r) = ctx.N, field
 
@@ -452,10 +440,12 @@ def _field_image(ctx, p, route, field):
 
     def rows():
         A, B, c, _ = _route_tables(N, t, zeta, y, route, reduce)
-        return _rows(N, A, B, c, reduce)
+        (sums,) = _fixed_rows(N, (A,), (B,), (c,))
+        return ([reduce(row) for row in sums],)
 
     t, zeta, y = ctx._kept(field, _field_tables, N, ell, r)
-    return _framed(N, p, ctx._kept((route, field), rows), zeta, reduce)
+    (image,) = _framing_dot(N, p, ctx._kept((route, field), rows), (zeta,))
+    return reduce(image)
 
 
 def _certified_zero(ctx, p, route):
@@ -466,7 +456,7 @@ def _certified_zero(ctx, p, route):
     zeros of an order cost O(N) per field. The image is a
     ring map of a sum in Z[zeta], so a true zero always passes. A nonzero
     sum that passed would have to lie in a degree-one prime above each of
-    two primes near 2^61, and, since _escalated asks only after round 1
+    two primes near 2^61, and, since _resolved asks only after round 1
     missed the budget, that round's value would also have to sit within
     1e12 times its noise floor (_noise_floor at _ROUND_ONE_DPS digits).
     The check proves nothing beyond those conditions.
@@ -491,7 +481,7 @@ def _mp_tables(N, dps):
 
     The tables of every round (0 <= a, k < N, 0 <= j < 4N), built in
     _mp_context(dps); each round passes them to _route_tables
-    (_fixed_tables), and the certificate passes their images in F_l
+    (_fixed_sum), and the certificate passes their images in F_l
     (_field_tables). Only zeta^j for 0 <= j <= N/2 calls expjpi, under
     _MP_LOCK; the rest of the table is exact part swaps and negations of
     those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
@@ -542,7 +532,7 @@ def _times(a, b, mul=operator.mul):
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
-        return tuple(mul(part, b[0]) for part in a)
+        return tuple(map(mul, a, b * len(a)))
     (a_re, a_im), (b_re, b_im) = a, b
     return (mul(a_re, b_re) - mul(a_im, b_im),
             mul(a_re, b_im) + mul(a_im, b_re))
@@ -557,28 +547,34 @@ def _to_float(value, shift):
         return math.inf if value > 0 else -math.inf
 
 
-def _fixed_tables(N, dps, route):
-    """route's A, B and c/D of _route_tables over _mp_tables(N, dps), and
-    zeta^j, 0 <= j < 4N, each as (parts, shift) of _fixed."""
-    t, zeta, y = _mp_tables(N, dps)
-    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
-    return [_fixed(v) for v in (A, B, [v / D for v in c], zeta)]
-
-
 def _fixed_rows(N, A, B, c):
     """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
-    _rows, summed exactly over the parts of _fixed tables, as part lists."""
-    rows = [_times(tuple(part[n] for part in c),
-                   _times(tuple(part[n:] for part in A),
-                          tuple(part[n - 1::-1] for part in B), _dot))
-            for n in range(1, N)]
+    D times the bare sum, as part lists, from integer tables of
+    _route_tables given by their part lists, (re,) or (re, im): the
+    mpmath tables through _fixed, or the certificate's F_l tables as one
+    part each. Each row is an exact dot, four real ones for a complex
+    row, times c_n."""
+    rows = [_times(c_n, _times([part[n:] for part in A],
+                               [part[n - 1::-1] for part in B], _dot))
+            for n, c_n in enumerate(zip(*(part[1:] for part in c)), 1)]
     return tuple(map(list, zip(*rows)))
+
+
+def _framing_dot(N, p, rows, zeta):
+    """sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, the framing's only part in
+    either sum, as the exact dot of the part lists of _fixed_rows with the
+    phases read from the part lists of zeta^j, 0 <= j < 4N."""
+    order = 4 * N
+    p %= order
+    index = [p * n * n % order for n in range(1, N)]
+    return _times(rows, tuple([part[j] for j in index] for part in zeta), _dot)
 
 
 def _fixed_sum(N, dps, route):
     """(rows, zeta, shift, abs_sum) of route's bare sum at dps digits:
-    _fixed_rows and zeta^j of _fixed_tables(N, dps, route), and the shift
-    of a framing's dot of the two.
+    _fixed_rows over the tables of _route_tables over _mp_tables(N, dps),
+    with c/D for c, and zeta^j, each converted by _fixed, and the shift of
+    a framing's dot of the two (_framing_dot).
 
     abs_sum, the summed moduli of the bare sum's terms, is summed from the
     same tables at _ROUND_ONE_DPS digits, the round that reports it, and is
@@ -587,7 +583,10 @@ def _fixed_sum(N, dps, route):
     moduli of the entries, each to the unit below, and does not depend on
     the framing.
     """
-    (A, a), (B, b), (c, s), (zeta, z) = _fixed_tables(N, dps, route)
+    t, zeta, y = _mp_tables(N, dps)
+    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+    (A, a), (B, b), (c, s), (zeta, z) = [
+        _fixed(v) for v in (A, B, [v / D for v in c], zeta)]
     abs_sum = None
     if dps == _ROUND_ONE_DPS:
         moduli = [([math.isqrt(_dot(entry, entry)) for entry in zip(*table)],)
@@ -599,22 +598,18 @@ def _fixed_sum(N, dps, route):
 
 def _bare_sum(ctx, p, route, dps):
     """(value, abs_sum) of route's bare sum at dps digits: the framing's
-    exact dot sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2} of _fixed_sum, whose
-    result is kept on ctx under (route, dps), times 2^-shift and rounded
-    once to complex (_to_float). A further framing costs one dot of N
-    terms."""
-    N, order = ctx.N, 4 * ctx.N
+    exact dot (_framing_dot) of the rows of _fixed_sum, whose result is
+    kept on ctx under (route, dps), times 2^-shift and rounded once to
+    complex (_to_float). A further framing costs one dot of N terms."""
     rows, zeta, shift, abs_sum = ctx._kept((route, dps), _fixed_sum,
-                                           N, dps, route)
-    p %= order
-    index = [p * n * n % order for n in range(1, N)]
-    phases = tuple([part[j] for j in index] for part in zeta)
-    value = complex(*(_to_float(v, shift) for v in _times(rows, phases, _dot)))
-    return value, abs_sum
+                                           ctx.N, dps, route)
+    value = _framing_dot(ctx.N, p, rows, zeta)
+    return complex(*(_to_float(v, shift) for v in value)), abs_sum
 
 
-# Round 1 and the replays of each route, the names bench/tracing.py wraps:
-# its kernels boundary keeps the name of the float64 pass round 1 replaced.
+# Round 1 and the replays of each route. _resolved looks them up by name at
+# each call, so bench/tracing.py can wrap them; its kernels boundary keeps
+# the name of the float64 pass round 1 replaced.
 def _direct_sum_f64(ctx, p):
     return _bare_sum(ctx, p, "direct", _ROUND_ONE_DPS)
 
@@ -645,9 +640,7 @@ def wrt_direct(ctx, p):
         raise UnsupportedFramingError(
             f"direct form requires a positive surgery coefficient, got {p}"
         )
-    _check_float_range(ctx, p, "direct")
-    value, abs_sum = _direct_sum_f64(ctx, p)
-    value = _escalated(value, abs_sum, ctx, p, _direct_sum_mp, "direct")
+    value = _resolved(ctx, p, "direct")
     if not value:
         return 0j
     return _prefactor(ctx, p) * value
@@ -669,9 +662,7 @@ def wrt_double_sum(ctx, p):
     1 <= |p| <= 8, where exact zeros pair with exact zeros.
     """
     p = checked_integer(p, "surgery coefficient")
-    _check_float_range(ctx, p, "double")
-    value, abs_sum = _double_sum_f64(ctx, p)
-    value = _escalated(value, abs_sum, ctx, p, _double_sum_mp, "double")
+    value = _resolved(ctx, p, "double")
     if not value:
         return 0j
     denom = (ctx.q_power(0.5) - ctx.q_power(-0.5)) ** 2

@@ -37,11 +37,13 @@ Newton root becomes a candidate: it is no spurious root of clearing
 (s = 0, w = 0), its (z, w), snapped onto the real/imaginary axes within
 rounding distance, meets the residual bound on one square-root sheet
 (1e-10, or 8 |p| 2^-53 past |p| = 1.1e5, where s^p rounds coarser), and
-z != 1, where the gradient is singular. Whether Newton reached
-its own 1e-13 stopping tolerance does not enter: that flag is a
-diagnostic. Candidates are then deduplicated in (z, w), branch-corrected,
-classified, and returned in a deterministic order. Dropped candidates are
-logged with the reason, never returned as silently wrong values.
+z != 1, where the gradient is singular (within 1e-8, or 1/|p| past
+|p| = 1e8, where the geometric point comes within 2 pi/|p| of 1).
+Whether Newton reached its own 1e-13 stopping tolerance does not enter:
+that flag is a diagnostic. Candidates are then deduplicated in (z, w),
+branch-corrected, classified, and returned in a deterministic order.
+Dropped candidates are logged with the reason, never returned as silently
+wrong values.
 """
 
 import cmath
@@ -74,7 +76,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 _RESIDUAL_BOUND = 1e-10     # residual bound of polished points, |p| < 1.1e5
-_SPURIOUS_RADIUS = 1e-8     # |s|, |w|, or |z - 1| below this is a cleared root
+_SPURIOUS_RADIUS = 1e-8     # cleared-root radius in |s|, |w| and |z - 1|
 _SNAP_EPS = 1e-12           # relative distance for snapping onto an axis
 _NEWTON_TOLERANCE = 1e-13   # residual at which Newton stops
 _MAX_ITERATIONS = 60        # Newton steps per start
@@ -435,8 +437,18 @@ def _polished(p, roots):
     |s^p u| = |w - z|, about 1 on the geometric branch at large p, and
     8 p 2^-53 covers it. Newton ends at 1.66e-10 at p = 3e6, 2.61e-10 at
     1e7 and 2.19e-9 at 1e8, each below p 2^-53.
+
+    A root with |z - 1| <= min(_SPURIOUS_RADIUS, 1/|p|) is taken for z = 1.
+    The radius shrinks with p because the geometric point tends to z = 1:
+    there w tends to e^{-i pi/3}, and the first equation at z = 1 reads
+    s^p (1 - w) = w - 1, so s^p = -1 + O(1/p), p log s = -i pi + O(1/p),
+    and z = s^2 = e^{-2 pi i/p + O(p^-2)}, with |z - 1| = 2 pi/|p| + O(p^-2)
+    (6.28318530706/|p| measured at p = 1e6). So 1/|p| keeps the point
+    outside by a factor near 2 pi. A fixed 1e-8 would take it for z = 1
+    from |p| = 2 pi 1e8 = 6.3e8 on. The radius is 1e-8 for |p| <= 1e8.
     """
     bound = max(_RESIDUAL_BOUND, abs(p) * 2.0 ** -50)
+    radius = min(_SPURIOUS_RADIUS, 1 / max(abs(p), 1))
     for s, w, _, _ in roots:
         if abs(s) < _SPURIOUS_RADIUS or abs(w) < _SPURIOUS_RADIUS:
             _log.debug("discarding cleared root s=%s w=%s", s, w)
@@ -447,7 +459,7 @@ def _polished(p, roots):
             _log.debug("candidate (%s, %s) fails the residual bound: %.3g",
                        z, w, residual)
             continue
-        if abs(z - 1) <= _SPURIOUS_RADIUS:
+        if abs(z - 1) <= radius:
             _log.info("discarding z = 1 solution (singular gradient) at p=%d", p)
             continue
         yield s, z, w, residual, sheet
@@ -604,7 +616,8 @@ def track_geometric(p_values):
     at p = 1..4, which have no hyperbolic structure. No framing in 5..2999
     raises, nor 600 random ones up to 1e6, singly or in sequence, nor
     3e6, 1e7 and 1e8, where _polished's bound grows with the rounding of
-    s^p; at p <= 136 the point is solve_fig8's geometric candidate to
+    s^p, nor 7e8, 1e9, 3e9, 1e10 and 1e12, where its z = 1 radius shrinks
+    as 1/p; at p <= 136 the point is solve_fig8's geometric candidate to
     7.8e-15.
     """
     results = []

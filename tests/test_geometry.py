@@ -68,6 +68,13 @@ class TestLoadReferences:
         assert by_p[4].provenance == "paper-builtin"
         assert [ref.p for ref in refs] == [0, 4, 6, 7]
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start the file with a UTF-8 byte-order mark
+        path = tmp_path / "refs.csv"
+        path.write_bytes(b"\xef\xbb\xbfp,vol,cs\n7,2.5,0.125\n")
+        by_p = {ref.p: ref for ref in load_references(path)}
+        assert by_p[7].vol == 2.5 and by_p[7].provenance == "user-csv"
+
     def test_header_only_keeps_builtins(self, tmp_path):
         path = tmp_path / "refs.csv"
         path.write_text("p,vol,cs\n")
@@ -181,13 +188,14 @@ class TestNeumannZagierRate:
             assert abs(e) * p ** 4 <= 230, p
 
     @pytest.mark.parametrize("p", [1835, 1862, 2350, 10 ** 4, 10 ** 6,
-                                   3 * 10 ** 6, 10 ** 7])
+                                   3 * 10 ** 6, 10 ** 7, 7 * 10 ** 8, 10 ** 9])
     def test_far_framings(self, p):
         # far past solve_fig8's |p| <= 136 the continuation stands alone;
         # at p = 1835 its Newton stalls at a residual of 1.01e-13, just
         # above the stopping tolerance, on a point that meets the 1e-10
         # bound; at 3e6 and 1e7 the rounding of s^p leaves 1.66e-10 and
-        # 2.61e-10, within the bound that grows with p
+        # 2.61e-10, within the bound that grows with p; at 7e8 and 1e9 the
+        # point lies 2 pi/p from z = 1, inside a fixed 1e-8 z = 1 radius
         pt, = track_geometric([p])
         e = pt.value - limit_infinity() - PI ** 2 / (p + 2j * math.sqrt(3))
         assert abs(e) < 1e-10

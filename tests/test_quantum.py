@@ -260,13 +260,14 @@ class TestWrt:
         abs_sum = 2.2e204
         calls = []
 
-        def replay(N, p, dps):
+        def replay(ctx, p, dps):
             calls.append(dps)
             return 1.0 if dps >= 212 else abs_sum * 10.0 ** -dps / 2
 
+        monkeypatch.setattr(qi, "_direct_sum_f64", lambda ctx, p: (0j, abs_sum))
+        monkeypatch.setattr(qi, "_direct_sum_mp", replay)
         monkeypatch.setattr(qi, "_field_image", lambda ctx, p, route, field: 1)
-        value = qi._escalated(0j, abs_sum, RootOfUnityContext(1400), 6, replay,
-                              "direct")
+        value = qi._resolved(RootOfUnityContext(1400), 6, "direct")
         assert value == 1.0
         assert len(calls) <= 5, calls
 
@@ -462,9 +463,11 @@ class TestStatePerContext:
 
     def test_certificate_built_once_per_field(self, monkeypatch):
         orders = (33, 35, 37)
-        builds = {name: counted(monkeypatch, name)
-                  for name in ("_field_tables", "_route_tables", "_rows")}
         contexts = [RootOfUnityContext(N) for N in orders]
+        for ctx in contexts:   # round 1's rows, built before the count
+            qi._direct_sum_f64(ctx, 2), qi._double_sum_f64(ctx, 2)
+        builds = {name: counted(monkeypatch, name)
+                  for name in ("_field_tables", "_route_tables", "_fixed_rows")}
         for p in (2, 6, 10):
             for ctx in contexts:
                 assert wrt_direct(ctx, p) == 0j, (ctx, p)
@@ -472,14 +475,16 @@ class TestStatePerContext:
         fields = {N: qi._certificate_fields(N) for N in orders}
         assert sorted(builds["_field_tables"]) == sorted(
             (N, ell, r) for N in orders for ell, r in fields[N])
-        # one row set per (field, route) and context; round 1 builds its
-        # own tables with _route_tables over mpmath (reduce _exact)
+        # one row set per (field, route) and context, each built by
+        # _fixed_rows over one-part integer tables in F_l
         per_field = sorted((N, route) for N in orders for _ in fields[N]
                            for route in ("direct", "double"))
-        assert sorted((args[0], args[4]) for args in builds["_route_tables"]
-                      if args[5] is not qi._exact) == per_field
-        assert sorted(args[0] for args in builds["_rows"]) == \
+        assert sorted((args[0], args[4])
+                      for args in builds["_route_tables"]) == per_field
+        assert sorted(args[0] for args in builds["_fixed_rows"]) == \
             [N for N, _ in per_field]
+        assert all(len(table) == 1 for args in builds["_fixed_rows"]
+                   for table in args[1:])
 
     def test_threads_share_one_context(self):
         # threads racing on one context may each build a set; every value
@@ -636,15 +641,16 @@ class TestFiniteFieldImage:
         # the three zeros at N = 37 over both routes take 12 images and
         # build each field's tables once and each (field, route) row list
         # once; the sum loops leave the kept tables and rows as built
-        builds = {name: counted(monkeypatch, name)
-                  for name in ("_field_tables", "_rows")}
         ctx = RootOfUnityContext(37)
+        qi._direct_sum_f64(ctx, 2), qi._double_sum_f64(ctx, 2)   # round 1's
+        builds = {name: counted(monkeypatch, name)
+                  for name in ("_field_tables", "_fixed_rows")}
         for p in (2, 6, 10):
             assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
         fields = qi._certificate_fields(37)
         assert sorted(builds["_field_tables"]) == \
             sorted((37, ell, r) for ell, r in fields)
-        assert len(builds["_rows"]) == 2 * len(fields)
+        assert len(builds["_fixed_rows"]) == 2 * len(fields)
         fresh = RootOfUnityContext(37)
         for field in fields:
             for route in ("direct", "double"):
@@ -665,6 +671,26 @@ class TestFiniteFieldImage:
 def unreduced(value):
     """The reduce argument of the sums for rings without a canonical form."""
     return value
+
+
+def table_rows(N, A, B, c, reduce):
+    """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
+    D times the bare sum, from the tables of _route_tables, term by term."""
+    rows = []
+    for n in range(1, N):
+        row = 0
+        for m in range(min(n, N - n)):
+            row += A[n + m] * B[n - m - 1]
+        rows.append(reduce(c[n] * row))
+    return rows
+
+
+def framed(N, p, rows, zeta, reduce):
+    """sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, row by row."""
+    total = 0
+    for n, row in enumerate(rows, 1):
+        total += row * zeta[(p * n * n) % (4 * N)]
+    return reduce(total)
 
 
 def step_direct_rows(N, t, reduce):
@@ -701,9 +727,8 @@ def ring_sums(N, p, t, zeta, y, reduce):
     of the tables, from the step-by-step rows: the independent statement
     of both sums that the package's tables are tested against. N times
     each is D times the bare sum of _route_tables."""
-    return (qi._framed(N, p, step_direct_rows(N, t, reduce), zeta, reduce),
-            qi._framed(N, p, step_double_rows(N, y, zeta, reduce), zeta,
-                       reduce))
+    return (framed(N, p, step_direct_rows(N, t, reduce), zeta, reduce),
+            framed(N, p, step_double_rows(N, y, zeta, reduce), zeta, reduce))
 
 
 def route_sums(N, p, t, zeta, y, reduce):
@@ -712,8 +737,8 @@ def route_sums(N, p, t, zeta, y, reduce):
     sums = []
     for route in ("direct", "double"):
         A, B, c, D = qi._route_tables(N, t, zeta, y, route, reduce)
-        sums.append((qi._framed(N, p, qi._rows(N, A, B, c, reduce), zeta,
-                                reduce), D))
+        sums.append((framed(N, p, table_rows(N, A, B, c, reduce), zeta,
+                            reduce), D))
     return sums
 
 
@@ -859,7 +884,8 @@ class TestOneElementOfZZeta:
 
 
 class TestOddColorSplitting:
-    """At odd N the rows R_n of _rows, times the framing's phases, split:
+    """At odd N the rows R_n of table_rows, times the framing's phases,
+    split:
     sum_n R_n zeta^{p n^2} = (1 + zeta^{-p N^2}) sum_{n odd} R_n zeta^{p n^2},
     in every ring _route_tables serves. Checked here exactly, in both
     certificate fields, for both routes.
@@ -894,13 +920,13 @@ class TestOddColorSplitting:
                 t, zeta, y = qi._field_tables(N, ell, r)
                 for route in ("direct", "double"):
                     A, B, c, _ = qi._route_tables(N, t, zeta, y, route, mod)
-                    rows = qi._rows(N, A, B, c, mod)
+                    rows = table_rows(N, A, B, c, mod)
                     assert rows == rows[::-1], (N, route)
                     for p in self.FRAMINGS:
                         odd = sum(rows[n - 1] * zeta[p * n * n % order]
                                   for n in range(1, N, 2))
                         split = (1 + zeta[-p * N * N % order]) * odd % ell
-                        assert qi._framed(N, p, rows, zeta, mod) == split, \
+                        assert framed(N, p, rows, zeta, mod) == split, \
                             (N, route, p)
                         checks += 1
         assert checks == 1320
@@ -1124,18 +1150,18 @@ class TestStackedProducts:
     def unstacked_round_one(N, route):
         """p -> (value, abs_sum) of route's round 1, from _route_tables over
         _mp_tables at round 1's digits, as Gaussians summed term by term by
-        _rows and _framed, and rounded once from the exact sums."""
+        table_rows and framed, and rounded once from the exact sums."""
         t, zeta, y = qi._mp_tables(N, qi._ROUND_ONE_DPS)
         A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
         (A, a), (B, b), (c, s), (zeta, z) = map(
             exact_entries, (A, B, [v / D for v in c], zeta))
-        rows = qi._rows(N, A, B, c, unreduced)
+        rows = table_rows(N, A, B, c, unreduced)
         moduli = [[math.isqrt(v.re ** 2 + v.im ** 2) for v in table]
                   for table in (A, B, c)]
-        abs_sum = sum(qi._rows(N, *moduli, unreduced)) / 2 ** (a + b + s)
+        abs_sum = sum(table_rows(N, *moduli, unreduced)) / 2 ** (a + b + s)
 
         def round_one(p):
-            total = qi._framed(N, p, rows, zeta, unreduced)
+            total = framed(N, p, rows, zeta, unreduced)
             scale = 2 ** (a + b + s + z)
             return complex(total.re / scale, total.im / scale), abs_sum
 
