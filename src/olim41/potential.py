@@ -25,6 +25,7 @@ V = Vt + 2 pi i (c_z Log z + c_w Log w). A branch shift of Log z moves D_z
 by p pi i, so the grid is (1/2) Z for odd p and Z for even p.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +69,17 @@ def _checked_point(point):
             f"point has {len(point)} coordinates, potential has 2 variables"
         )
     for idx, z in enumerate(point):
+        if not cmath.isfinite(z):
+            raise DomainError(f"coordinate {idx + 1} is not finite: {z!r}")
         if z == 0:
             raise SingularPointError(f"coordinate {idx + 1} is zero")
     return point
 
 
 def eval_potential(p, point):
-    """Vt at the point (z, w). Coordinates must be nonzero; z w = 1 and
-    z / w = 1 are permitted, because Li2(1) = pi^2/6 is finite."""
+    """Vt at the point (z, w). Coordinates must be finite and nonzero;
+    z w = 1 and z / w = 1 are permitted, because Li2(1) = pi^2/6 is
+    finite."""
     p = checked_integer(p, "surgery coefficient")
     z, w = _checked_point(point)
     # z * w ** -1 (not z / w) and the pi^2/6 shifts keep values bit-identical

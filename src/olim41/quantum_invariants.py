@@ -411,9 +411,10 @@ def _certificate_fields(N):
 
 
 def _field_tables(N, ell, r):
-    """The replay's three tables in F_ell under zeta -> r, i = zeta^N -> r^N;
-    t_a = -i (zeta^{2a} - zeta^{-2a}) becomes zeta^{3N+2a} - zeta^{3N-2a}.
-    zeta^j = r^j is built as a running product."""
+    """The zero certificate's three tables: those of _mp_tables in F_ell
+    under zeta -> r, i = zeta^N -> r^N; t_a = -i (zeta^{2a} - zeta^{-2a})
+    becomes zeta^{3N+2a} - zeta^{3N-2a}. zeta^j = r^j is built as a
+    running product."""
     order = 4 * N
     zeta = [1]
     for _ in range(order - 1):

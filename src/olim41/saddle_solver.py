@@ -29,21 +29,21 @@ the scalar _newton gives it. It cannot use numpy's complex128, whose
 products, quotients and powers round differently from CPython's; it uses
 the port of CPython's complex arithmetic in _pycomplex instead. The
 scalar _newton stays as the reference the tests hold _newton_many to,
-and track_geometric runs it lazily over its one or two starts, where
-arrays would cost more than they save.
+and track_geometric runs it from one start per framing, where arrays
+would cost more than they save.
 
-One test, in _polished, which track_geometric shares, decides whether a
-Newton root becomes a candidate: it is no spurious root of clearing
-(s = 0, w = 0), its (z, w), snapped onto the real/imaginary axes within
-rounding distance, meets the residual bound on one square-root sheet
-(1e-10, or 8 |p| 2^-53 past |p| = 1.1e5, where s^p rounds coarser), and
-z != 1, where the gradient is singular (within 1e-8, or 1/|p| past
-|p| = 1e8, where the geometric point comes within 2 pi/|p| of 1).
-Whether Newton reached its own 1e-13 stopping tolerance does not enter:
-that flag is a diagnostic. Candidates are then deduplicated in (z, w),
-branch-corrected, classified, and returned in a deterministic order.
-Dropped candidates are logged with the reason, never returned as silently
-wrong values.
+One test, in _polished, decides whether a Newton root becomes a
+candidate: it is no spurious root of clearing (s = 0, w = 0), its (z, w),
+snapped onto the real/imaginary axes within rounding distance, meets the
+residual bound on one square-root sheet (1e-10, or 8 |p| 2^-53 past
+|p| = 1.1e5, where s^p rounds coarser), and z != 1, where the gradient is
+singular (within 1e-8, or 1/|p| past |p| = 1e8, where the geometric point
+comes within 2 pi/|p| of 1). Whether Newton reached its own 1e-13
+stopping tolerance does not enter: that flag is a diagnostic. solve_fig8
+deduplicates its candidates in (z, w); one step, _points, then
+branch-corrects the candidates of both entry points into SaddlePoints, and
+classify labels them. Dropped candidates are logged with the reason,
+never returned as silently wrong values.
 """
 
 import cmath
@@ -420,9 +420,9 @@ def residual_fig8(p, zeta, omega):
 
 
 def _polished(p, roots):
-    """(s, z, w, residual, sheet) for each Newton result (s, w, residual, ok)
+    """(z, w, residual, sheet) for each Newton result (s, w, residual, ok)
     that is no cleared root, meets the residual bound snapped to the axes
-    and has z != 1; each dropped root is logged. s is the raw root.
+    and has z != 1; each dropped root is logged.
 
     This is the one test a Newton root must pass to become a point. ok is
     not read: a root on which Newton gave up just above _NEWTON_TOLERANCE
@@ -462,7 +462,7 @@ def _polished(p, roots):
         if abs(z - 1) <= radius:
             _log.info("discarding z = 1 solution (singular gradient) at p=%d", p)
             continue
-        yield s, z, w, residual, sheet
+        yield z, w, residual, sheet
 
 
 def _deduplicated(candidates):
@@ -495,6 +495,22 @@ def _deduplicated(candidates):
     return kept
 
 
+def _points(p, candidates):
+    """The SaddlePoint of each (z, w, residual, sheet) candidate, with its
+    branch correction and no label yet; a candidate that branch_correct
+    rejects is logged as a warning and dropped."""
+    points = []
+    for z, w, residual, sheet in candidates:
+        try:
+            correction = branch_correct(p, (z, w))
+        except (BranchInconsistencyError, SingularPointError) as exc:
+            _log.warning("dropping (%s, %s) at p=%d: %s", z, w, p, exc)
+            continue
+        points.append(SaddlePoint(zeta=z, omega=w, residual=residual,
+                                  correction=correction, sheet=sheet))
+    return points
+
+
 def solve_fig8(p):
     """All critical points of the surgery potential at framing p.
 
@@ -502,7 +518,7 @@ def solve_fig8(p):
     all starts at once by _newton_many, which stops at a residual of
     1e-13, kept by _polished's test (residual below 1e-10, no cleared-root
     artifact, z != 1), deduplicated at max-norm distance 1e-9,
-    branch-corrected and classified. Points are
+    branch-corrected by _points and classified. Points are
     sorted by label rank, then lexicographically by coordinates.
 
     |p| must be at most 136 (DomainError otherwise). The elimination
@@ -523,19 +539,7 @@ def solve_fig8(p):
     starts = np.fromiter(chain.from_iterable(
         chain(_elimination_starts(p), _grid_starts())), dtype=complex)
     roots = _newton_many(p, starts[0::2], starts[1::2])
-    kept = _deduplicated([(z, w, residual, sheet) for _, z, w, residual, sheet
-                          in _polished(p, roots)])
-    points = []
-    for z, w, residual, sheet in kept:
-        try:
-            correction = branch_correct(p, (z, w))
-        except (BranchInconsistencyError, SingularPointError) as exc:
-            _log.warning("dropping (%s, %s) at p=%d: %s", z, w, p, exc)
-            continue
-        points.append(SaddlePoint(zeta=z, omega=w, residual=residual,
-                                  correction=correction, sheet=sheet))
-
-    points = classify(points)
+    points = classify(_points(p, _deduplicated(_polished(p, roots))))
     points.sort(key=lambda pt: (_LABEL_RANK[pt.label], pt.zeta.real,
                                 pt.zeta.imag, pt.omega.real, pt.omega.imag))
     return points
@@ -544,7 +548,8 @@ def solve_fig8(p):
 def symmetry_orbit(point):
     """Orbit {(z, w), (conj z, conj w), (1/z, w), (conj 1/z, conj w)}.
 
-    Accepts a SaddlePoint or a bare (zeta, omega) pair; members closer
+    Accepts a SaddlePoint or a bare (zeta, omega) pair of finite
+    coordinates, zeta nonzero (DomainError otherwise); members closer
     than _MEMBERSHIP_DISTANCE (1e-8, as in classify) are merged, so
     unit-modulus or real points yield orbits of size 2.
     """
@@ -552,6 +557,8 @@ def symmetry_orbit(point):
         zeta, omega = point.zeta, point.omega
     else:
         zeta, omega = (complex(c) for c in point)
+    if not (cmath.isfinite(zeta) and cmath.isfinite(omega)):
+        raise DomainError(f"coordinates must be finite, got ({zeta}, {omega})")
     if zeta == 0:
         raise DomainError("zeta must be nonzero")
     members = [
@@ -608,41 +615,29 @@ def classify(points):
 def track_geometric(p_values):
     """Geometric-candidate branch over a sequence of framings.
 
-    Each p is tried from the large-p start (s, w) = (e^{-i pi/p},
-    e^{-i pi/3}) and from the previous framing's solution, which is far
-    cheaper than full enumeration. Their roots pass the test of
-    solve_fig8's points (_polished), and the first with Im V > 0 is the
-    point. A framing where neither start gives one raises DomainError, as
-    at p = 1..4, which have no hyperbolic structure. No framing in 5..2999
-    raises, nor 600 random ones up to 1e6, singly or in sequence, nor
-    3e6, 1e7 and 1e8, where _polished's bound grows with the rounding of
-    s^p, nor 7e8, 1e9, 3e9, 1e10 and 1e12, where its z = 1 radius shrinks
-    as 1/p; at p <= 136 the point is solve_fig8's geometric candidate to
-    7.8e-15.
+    Each p is solved alone, by one _newton from the large-p start
+    (s, w) = (e^{-i pi/p}, e^{-i pi/3}), which is far cheaper than full
+    enumeration; nothing carries over from one framing to the next. The
+    root passes the test of solve_fig8's points (_polished), _points
+    branch-corrects it, and it is the point if classify labels it
+    geometric (Im V > 0). A framing where it is not raises DomainError, as
+    at p = 1..4, which have no hyperbolic structure. Measured with one
+    call per framing: every p in 5..3000, 600 seeded random p in
+    3001..10^6, and 3e6, 1e7 and 1e8, where _polished's bound grows with
+    the rounding of s^p, and 7e8, 1e9, 3e9, 1e10 and 1e12, where its z = 1
+    radius shrinks as 1/p, give the point, and p = 1..4 raise; at
+    p <= 136 the point is solve_fig8's geometric candidate to 7.8e-15.
     """
     results = []
-    previous = None
     for p in p_values:
         p = checked_integer(p, "surgery coefficient")
         if p < 1:
             raise DomainError(f"geometric tracking needs p >= 1, got {p}")
-        starts = [(cmath.exp(-1j * math.pi / p), cmath.exp(-1j * math.pi / 3))]
-        if previous is not None:
-            starts.append(previous)
-        point = None
-        roots = (_newton(p, s, w) for s, w in starts)
-        for s, z, w, residual, sheet in _polished(p, roots):
-            try:
-                correction = branch_correct(p, (z, w))
-            except (BranchInconsistencyError, SingularPointError):
-                continue
-            if correction.value.imag > _POSITIVE_IM_V:
-                point = SaddlePoint(zeta=z, omega=w, residual=residual,
-                                    correction=correction,
-                                    label="geometric-candidate", sheet=sheet)
-                previous = (s, w)
-                break
-        if point is None:
+        root = _newton(p, cmath.exp(-1j * math.pi / p),
+                       cmath.exp(-1j * math.pi / 3))
+        geometric = [pt for pt in classify(_points(p, _polished(p, [root])))
+                     if pt.label == "geometric-candidate"]
+        if not geometric:
             raise DomainError(f"no geometric candidate at p={p}")
-        results.append(point)
+        results.append(geometric[0])
     return results

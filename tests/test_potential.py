@@ -69,6 +69,14 @@ class TestSpecConstruction:
             }
             assert denominators == ({1, 2} if p % 2 else {1}), f"p={p}"
 
+    @pytest.mark.parametrize("point", [
+        (math.nan, 0.5), (0.5, math.inf), (complex(0.5, -math.inf), 0.5),
+        (0.5, complex(math.nan, 0.5))])
+    def test_non_finite_point_rejected(self, point):
+        for fn in (eval_potential, eval_log_gradient, branch_correct):
+            with pytest.raises(DomainError, match="not finite"):
+                fn(6, point)
+
 
 class TestValues:
     def test_vanishes_at_unit_point(self):

@@ -6,6 +6,7 @@ anchors ((3-sqrt(5))/2, golden-ratio and sqrt(2) surds, pi^2 fractions).
 Orbit closure and re-residualization make the checks self-validating.
 """
 
+import logging
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olim41 import saddle_solver
-from olim41.errors import DomainError
+from olim41.errors import BranchInconsistencyError, DomainError
 from olim41.potential import branch_correct
 from olim41.saddle_solver import (
     classify,
@@ -146,9 +147,57 @@ class TestGeometricTable:
                 assert abs(tracked.omega - geo.omega) < 1e-10, p
                 assert tracked.label == "geometric-candidate"
 
+    def test_track_keeps_nothing_between_framings(self):
+        # each framing is solved from its own start alone, so a sequence
+        # gives, point by point, what single framings give
+        framings = range(5, 641)
+        alone = [track_geometric([p])[0] for p in framings]
+        assert [repr(pt) for pt in track_geometric(framings)] == \
+            [repr(pt) for pt in alone]
+
     def test_track_needs_positive_framing(self):
         with pytest.raises(DomainError):
             track_geometric([0])
+
+
+class TestBranchDrop:
+    """A candidate that branch_correct rejects is dropped with a warning,
+    in both entry points; forced here at p = 6's geometric point."""
+
+    @pytest.fixture(autouse=True)
+    def reject_geometric(self, monkeypatch):
+        zeta, omega = GEOMETRIC_TABLE[6]
+
+        def rejecting(p, point):
+            if max(abs(point[0] - zeta), abs(point[1] - omega)) < 1e-9:
+                raise BranchInconsistencyError("rejected for the test")
+            return branch_correct(p, point)
+
+        monkeypatch.setattr(saddle_solver, "branch_correct", rejecting)
+
+    @staticmethod
+    def warnings(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == saddle_solver.__name__
+                and r.levelno == logging.WARNING]
+
+    def test_solve_returns_the_other_points(self, caplog):
+        with caplog.at_level(logging.WARNING, logger=saddle_solver.__name__):
+            points = solve_fig8(6)
+        assert len(points) == 5
+        for zeta, omega in _p6_expected()[1:]:
+            assert len(_find(points, zeta, omega, 1e-8)) == 1, (zeta, omega)
+        assert not _find(points, *GEOMETRIC_TABLE[6], 1e-8)
+        (message,) = self.warnings(caplog)
+        assert "at p=6" in message and "rejected for the test" in message
+
+    def test_track_raises(self, caplog):
+        with caplog.at_level(logging.WARNING, logger=saddle_solver.__name__):
+            with pytest.raises(DomainError,
+                               match="no geometric candidate at p=6"):
+                track_geometric([6])
+        (message,) = self.warnings(caplog)
+        assert "at p=6" in message
 
 
 class TestSmallFramings:
@@ -195,6 +244,12 @@ class TestSymmetryOrbit:
         assert len(symmetry_orbit((0.5, 0.75))) == 2     # real pair
         with pytest.raises(DomainError):
             symmetry_orbit((0.0, 1.0))
+
+    @pytest.mark.parametrize("point", [
+        (math.nan, 1.0), (1.0, math.inf), (complex(0.5, -math.inf), 0.5j)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(DomainError, match="finite"):
+            symmetry_orbit(point)
 
     def test_accepts_saddle_point(self):
         pt = solve_fig8(6)[0]
@@ -316,8 +371,7 @@ class TestDeduplication:
         starts = list(chain.from_iterable(chain(
             saddle_solver._elimination_starts(p), saddle_solver._grid_starts())))
         roots = saddle_solver._newton_many(p, starts[0::2], starts[1::2])
-        candidates = [(z, w, residual, sheet) for _, z, w, residual, sheet
-                      in saddle_solver._polished(p, roots)]
+        candidates = list(saddle_solver._polished(p, roots))
         assert len(saddle_solver._deduplicated(candidates)) < len(candidates)
         self.check(candidates)
 
