@@ -1,4 +1,4 @@
-"""Error types shared by the olim41 modules, and the integer check."""
+"""Error types shared by the olim41 modules, and the integer checks."""
 
 
 class DomainError(ValueError):
@@ -34,4 +34,15 @@ def checked_integer(value, name):
     DomainError that calls it name, such as "color" or "order"."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def within_float_range(value, name):
+    """value itself when the int value has a float; otherwise a
+    DomainError that calls it name. From about 2^1024 on, none has."""
+    try:
+        float(value)
+    except OverflowError:
+        raise DomainError(f"{name} passes the float range: it has "
+                          f"{value.bit_length()} bits") from None
     return value

@@ -13,7 +13,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ReferenceDataError, checked_integer
+from .errors import (
+    DomainError,
+    ReferenceDataError,
+    checked_integer,
+    within_float_range,
+)
 from .specfun import clausen2
 
 __all__ = [
@@ -154,11 +159,13 @@ def infinity_solution(p):
     """The explicit approximate solution (e^{-2 pi i/p}, e^{-i pi/3}).
 
     It satisfies the critical-point system up to defects
-    (zeta - 1)(omega + 1) and omega (zeta - 1)^2, both O(1/p); p >= 1.
+    (zeta - 1)(omega + 1) and omega (zeta - 1)^2, both O(1/p); p >= 1,
+    and p must have a float (DomainError otherwise).
     """
     p = checked_integer(p, "surgery coefficient")
     if p < 1:
         raise DomainError(f"the infinity solution needs p >= 1, got {p}")
+    within_float_range(p, "surgery coefficient")
     return cmath.exp(-2j * math.pi / p), cmath.exp(-1j * math.pi / 3)
 
 

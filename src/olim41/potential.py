@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     SingularPointError,
     checked_integer,
+    within_float_range,
 )
 from .specfun import PI2_6, dilog, principal_log
 
@@ -76,27 +77,50 @@ def _checked_point(point):
     return point
 
 
+def _check_finite(values, what, z, w):
+    """A DomainError naming what unless every one of values is finite."""
+    if not all(map(cmath.isfinite, values)):
+        raise DomainError(f"{what} passes the float range at ({z}, {w})")
+
+
+def _dilog_arguments(z, w):
+    """z w and z / w, the arguments of the two dilogarithms; z / w is
+    formed as z * w ** -1, which keeps eval_potential's bits."""
+    try:
+        arguments = z * w, z * w ** -1
+    except OverflowError:    # w ** -1 raises where it overflows
+        arguments = (math.inf,)
+    _check_finite(arguments, "z w or z / w", z, w)
+    return arguments
+
+
 def eval_potential(p, point):
     """Vt at the point (z, w). Coordinates must be finite and nonzero;
     z w = 1 and z / w = 1 are permitted, because Li2(1) = pi^2/6 is
-    finite."""
-    p = checked_integer(p, "surgery coefficient")
+    finite. p must have a float, and z w, z / w and Vt must be finite
+    (DomainError otherwise)."""
+    p = within_float_range(checked_integer(p, "surgery coefficient"),
+                           "surgery coefficient")
     z, w = _checked_point(point)
-    # z * w ** -1 (not z / w) and the pi^2/6 shifts keep values bit-identical
-    value = (dilog(z * w ** -1) - PI2_6) - (dilog(z * w) - PI2_6)
+    zw, z_over_w = _dilog_arguments(z, w)
+    # the pi^2/6 shifts keep values bit-identical
+    value = (dilog(z_over_w) - PI2_6) - (dilog(zw) - PI2_6)
     log_z = principal_log(z)
-    return value + p / 4 * log_z * log_z - log_z * principal_log(w)
+    value = value + p / 4 * log_z * log_z - log_z * principal_log(w)
+    _check_finite((value,), "the potential", z, w)
+    return value
 
 
 def eval_log_gradient(p, point):
     """Logarithmic gradient [D_z, D_w] in the fixed composition of principal
     logs stated in the module docstring. z = 1, z w = 1 and z / w = 1 make
     a Log(1 - x) of the surgery sum infinite, so they are rejected as
-    singular points rather than evaluated."""
-    p = checked_integer(p, "surgery coefficient")
+    singular points rather than evaluated. p must have a float, and z w,
+    z / w and the gradient must be finite (DomainError otherwise)."""
+    p = within_float_range(checked_integer(p, "surgery coefficient"),
+                           "surgery coefficient")
     z, w = _checked_point(point)
-    zw = z * w
-    z_over_w = z * w ** -1    # not z / w, as in eval_potential
+    zw, z_over_w = _dilog_arguments(z, w)
     if z == 1 or zw == 1 or z_over_w == 1:
         raise SingularPointError(
             "argument of a dilogarithm factor equals 1; gradient is singular"
@@ -104,8 +128,10 @@ def eval_log_gradient(p, point):
     log_plus = principal_log(1 - zw)
     log_minus = principal_log(1 - z_over_w)
     log_z = principal_log(z)
-    return [log_plus - log_minus + p / 2 * log_z - principal_log(w),
-            log_plus + log_minus - log_z]
+    gradient = [log_plus - log_minus + p / 2 * log_z - principal_log(w),
+                log_plus + log_minus - log_z]
+    _check_finite(gradient, "the gradient", z, w)
+    return gradient
 
 
 def branch_correct(p, point):

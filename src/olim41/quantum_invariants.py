@@ -58,7 +58,6 @@ they change mpmath's precision themselves.
 """
 
 import cmath
-import itertools
 import math
 import operator
 import threading
@@ -72,7 +71,9 @@ from .errors import (
     PrecisionExhaustedError,
     UnsupportedFramingError,
     checked_integer,
+    within_float_range,
 )
+from .specfun import clausen2
 
 __all__ = [
     "RootOfUnityContext",
@@ -112,7 +113,7 @@ class RootOfUnityContext:
         N = checked_integer(N, "order")
         if N < 3:
             raise DomainError(f"order must be at least 3, got {N}")
-        self.N = N
+        self.N = within_float_range(N, "order")
         self.q = cmath.exp(2j * math.pi / N)
         self._state = {}
 
@@ -129,13 +130,17 @@ class RootOfUnityContext:
         sign (and the sign of zero) as math.fmod does, so large x (such as
         p*n^2/4) do not lose accuracy to argument growth. int and Fraction
         exponents are reduced exactly, at any size; a float is reduced by
-        math.fmod, which is exact too.
+        math.fmod, which is exact too, and must be finite (DomainError
+        otherwise).
         """
         if isinstance(x, (int, Fraction)):
             t = float(abs(x) % self.N)
             t = -t if x < 0 else t
         else:
-            t = math.fmod(float(x), self.N)
+            x = float(x)
+            if not math.isfinite(x):
+                raise DomainError(f"exponent must be finite, got {x!r}")
+            t = math.fmod(x, self.N)
         return cmath.exp(2j * math.pi * t / self.N)
 
     def __repr__(self):
@@ -198,7 +203,7 @@ def _resolved(ctx, p, route):
 
     First, before any table is built, DomainError is raised when the bound
     _log_largest_terms keeps on ctx says abs_sum passes the float range,
-    2^1024: from N = 2159 in the direct sum and N = 2195 in the double sum.
+    2^1024: from N = 2160 in the direct sum and N = 2196 in the double sum.
     Round 1 (_direct_sum_f64, _double_sum_f64) then gives (value, abs_sum)
     at _ROUND_ONE_DPS digits, and the same error is raised when either is
     not finite, as abs_sum passes the float range from N = 2137 (direct)
@@ -252,31 +257,53 @@ def _resolved(ctx, p, route):
 
 
 def _log_largest_terms(N):
-    """{route: a lower bound on log abs_sum}: the log of the largest term
-    of the middle row n = N // 2 of route's bare sum, less a margin for
-    the rounding of the logs. O(N) floats.
+    """{route: a lower bound on log abs_sum}, in O(1) floats: a lower
+    bound on the log of one term of the middle row n = N // 2 of route's
+    bare sum, less a margin for rounding.
 
     In both routes |A_k| = S_k and |B_j| = S_{N-1-j}, as |1 - q^j| = t_j,
     so term m of row n has modulus t_n S_{n+m} S_{N-n+m} / N in the double
-    sum and t_1^-2 times that in the direct sum. Its log is read from the
-    prefix sums L_k = sum_{a<=k} log t_a, with t_a = t_{N-a} taken from
-    sin at an argument of at most pi/2: each log t_a is then within
-    (5 + ln N) 2^-53, as |log t_a| <= ln N, and each of the at most 2N
-    additions behind a term within N ln N 2^-53. A term's log is so within
-    N^2 (1 + ln N) 2^-50 for N >= 3, and the margin N^2 (1 + ln N) 2^-48
-    also covers abs_sum's own rounding (the tables' 40 digits, the moduli
-    rounded down to the unit and the one rounding to float, each relative
-    and below 2^-100 N) and the 1e-13 of 1024 ln 2 at the orders where the
-    bound comes near it. Every term is at most abs_sum.
+    sum and t_1^-2 times that in the direct sum, and every term is at most
+    abs_sum. log t_a = log(2 sin(pi a/N)) is concave in a on (0, N), so by
+    Hermite-Hadamard it is at least its mean over [a - 1/2, a + 1/2], and
+    as the integral of log(2 sin(x/2)) over [0, theta] is -Cl2(theta),
+        L_k = log S_k >= (N/2 pi) (Cl2(pi/N) - Cl2((2k+1) pi/N)).
+    L_k peaks near k = 5N/6, where t_k passes 1, so the term taken is
+    m = min(5N // 6 - n, n - 1), where n - 1 keeps m < min(n, N - n).
+    At 3 <= N <= 3000 the bound lies 0.14 or more below the log of the
+    middle row's largest term, so it passes 1024 ln 2 one order after that
+    term does, from N = 2160 (direct) and N = 2196 (double).
+
+    Margin. Each clausen2 value is within 2^-45 (1 + ln N) of Cl2 at its
+    argument. Its series part sums t - t ln t, at most 1 in modulus on
+    (0, pi], and at most 44 terms below 0.5 in modulus, with partial sums
+    below 2: about 100 roundings, each within 2^-52, so within 2^-45
+    (1.2e-15 = 2^-49.6 measured against mpmath over 0 < theta < 2 pi). Its
+    argument carries the error of math.pi and three roundings ((2k+1)/N,
+    the product with pi, and 2 pi - theta in clausen2), each at most 2^-50
+    as theta < 2 pi, and |d Cl2/d theta| = |ln(2 sin(theta/2))| <= ln N at
+    these arguments, pi/N <= theta <= 2 pi - pi/N.
+    The four values, times N/2 pi, are so within N (1 + ln N) 2^-44 / pi;
+    their sum, at most 4.1 in modulus, and its product add 4N 2^-53, and
+    the logs of t_n, t_1 and N, each at most ln N + 1 in modulus, 2^-50
+    (1 + ln N). Everything is within N (1 + ln N) 2^-44 for N >= 3, and
+    the margin N (1 + ln N) 2^-42 also covers abs_sum's own rounding (the
+    tables' 40 digits, the moduli rounded down to the unit and the one
+    rounding to float, each relative and below 2^-100 N) and the 1e-13 of
+    1024 ln 2 at the orders where the bound comes near it.
     """
     n = N // 2
-    logs = [math.log(2 * math.sin(math.pi * min(a, N - a) / N))
-            for a in range(1, N)]
-    L = [0.0, *itertools.accumulate(logs)]
-    largest = max(L[n + m] + L[N - n + m] for m in range(min(n, N - n)))
-    double = logs[n - 1] + largest - math.log(N) \
-        - N * N * (1 + math.log(N)) * 2.0 ** -48
-    return {"double": double, "direct": double - 2 * logs[0]}
+    m = min(5 * N // 6 - n, n - 1)
+
+    def log_prefix(k):      # the lower bound on L_k
+        return N / (2 * math.pi) * (clausen2(math.pi / N)
+                                    - clausen2(math.pi * ((2 * k + 1) / N)))
+
+    log_n = math.log(N)
+    double = math.log(2 * math.sin(math.pi * (n / N))) + log_prefix(n + m) \
+        + log_prefix(N - n + m) - log_n - N * 2.0 ** -42 * (1 + log_n)
+    return {"double": double,
+            "direct": double - 2 * math.log(2 * math.sin(math.pi / N))}
 
 
 def _noise_floor(abs_sum, N, dps):

@@ -34,7 +34,7 @@ would cost more than they save.
 
 One test, in _polished, decides whether a Newton root becomes a
 candidate: it is no spurious root of clearing (s = 0, w = 0), its (z, w),
-snapped onto the real/imaginary axes within rounding distance, meets the
+snapped onto the real axis within rounding distance, meets the
 residual bound on one square-root sheet (1e-10, or 8 |p| 2^-53 past
 |p| = 1.1e5, where s^p rounds coarser), and z != 1, where the gradient is
 singular (within 1e-8, or 1/|p| past |p| = 1e8, where the geometric point
@@ -60,6 +60,7 @@ from .errors import (
     DomainError,
     SingularPointError,
     checked_integer,
+    within_float_range,
 )
 from .potential import branch_correct
 from .specfun import principal_log
@@ -77,7 +78,7 @@ _log = logging.getLogger(__name__)
 
 _RESIDUAL_BOUND = 1e-10     # residual bound of polished points, |p| < 1.1e5
 _SPURIOUS_RADIUS = 1e-8     # cleared-root radius in |s|, |w| and |z - 1|
-_SNAP_EPS = 1e-12           # relative distance for snapping onto an axis
+_SNAP_EPS = 1e-12           # relative distance that snaps onto the real axis
 _NEWTON_TOLERANCE = 1e-13   # residual at which Newton stops
 _MAX_ITERATIONS = 60        # Newton steps per start
 _MAX_HALVINGS = 20          # step sizes 2^-k, k < 20, per Newton step
@@ -219,30 +220,12 @@ def _newton_step(p, s, w):
     j12 = sub(mul(neg(sp), z), (1.0, 0.0))
     j21 = sub(sub(mul(mul(mul((-2.0, 0.0), s), w), d), mul(s2, u)), s2w)
     j22 = sub(add(mul(neg(z), d), u), z)
-    del sp, q, z, u, d, s2, s2w     # a solve's peak memory is here
     det = sub(mul(j11, j22), mul(j12, j21))
     failed = (raised | raised1 | ((det[0] == 0) & (det[1] == 0))
               | ~np.isfinite(np.hypot(*det)))
     ds, _ = quot(sub(mul(f1, j22), mul(f2, j12)), det)
     dw, _ = quot(sub(mul(j11, f2), mul(j21, f1)), det)
     return ds, dw, failed
-
-
-def _padded(index):
-    """index padded with its last entry: to the next multiple of 64 below
-    1024 entries, to the next power of two up to 64.
-
-    numpy keeps up to 7 freed buffers of each size below 1 KiB for reuse,
-    so arrays over every lane count from 1 to 1023 leave hundreds of sizes
-    cached. Unpadded, a saddle-scan pass peaked 1.8 MB above the scalar
-    search; padded, 0.4 MB. A padded lane repeats the work of a real one
-    and writes back the same values.
-    """
-    n = len(index)
-    if n >= 1024:
-        return index
-    size = -(-n // 64) * 64 if n > 64 else 1 << (n - 1).bit_length()
-    return index[np.minimum(np.arange(size), n - 1)]
 
 
 def _trial(p, state, delta, step):
@@ -263,27 +246,27 @@ def _line_search(p, state, delta, go):
     """_newton's line search over arrays: for each lane where go, the first
     step 2^-k, k < _MAX_HALVINGS, that _trial accepts.
 
-    Returns where a step was found and the state it reaches. The full
-    step goes first for every lane, and the halvings follow for the lanes
-    it fails, in blocks of _LINE_SEARCH_BLOCK candidates.
+    Returns where a step was found, and state with each such lane moved to
+    the state its step reaches. The lanes still searching try the steps
+    from k = 0 on in blocks of _LINE_SEARCH_BLOCK candidates, one lane per
+    row and the steps 2^-k, 2^-(k+1), ... across, so from 1024 lanes on a
+    block is the one step 2^-k; the first step a lane accepts does not
+    depend on the blocks.
     """
-    reached, found = _trial(p, state, delta, 1.0)
-    found &= go
-    todo = np.flatnonzero(go & ~found)
-    k = 1
+    found = np.zeros_like(go)
+    reached = state.copy()
+    todo = np.flatnonzero(go)
+    k = 0
     while k < _MAX_HALVINGS and len(todo):
-        rows = _padded(todo)
-        # one lane per row, the steps 2^-k, 2^-(k+1), ... across; steps
-        # past _MAX_HALVINGS only fill the block
-        ks = np.arange(k, k + max(1, _LINE_SEARCH_BLOCK // len(rows)))
-        block, accept = _trial(p, state[:, rows, None], delta[:, rows, None],
+        # steps past _MAX_HALVINGS only fill the block
+        ks = np.arange(k, k + max(1, _LINE_SEARCH_BLOCK // len(todo)))
+        block, accept = _trial(p, state[:, todo, None], delta[:, todo, None],
                                np.ldexp(1.0, -ks))
         accept &= ks < _MAX_HALVINGS
         hit = accept.any(axis=1)
-        first = block[:, np.arange(len(rows)), accept.argmax(axis=1)]
-        reached[:, rows] = np.where(hit, first, reached[:, rows])
-        found[rows] |= hit
-        todo = todo[np.logical_not(hit)[:len(todo)]]
+        reached[:, todo[hit]] = block[:, hit, accept[hit].argmax(axis=1)]
+        found[todo[hit]] = True
+        todo = todo[~hit]
         k += len(ks)
     return found, reached
 
@@ -308,13 +291,12 @@ def _newton_many(p, s, w):
         for _ in range(_MAX_ITERATIONS):
             if not len(lanes):
                 break
-            idx = _padded(lanes)
-            state = final[:, idx]
+            state = final[:, lanes]
             ds, dw, failed = _newton_step(p, state[:2], state[2:4])
             go = (state[4] >= _NEWTON_TOLERANCE) & ~failed
-            found, reached = _line_search(p, state, np.array([*ds, *dw]), go)
-            final[:, idx] = np.where(found, reached, state)
-            lanes = lanes[found[:len(lanes)]]
+            found, final[:, lanes] = _line_search(
+                p, state, np.array([*ds, *dw]), go)
+            lanes = lanes[found]
     sr, si, wr, wi, res = final
     return zip(map(complex, sr, si), map(complex, wr, wi), map(float, res),
                map(bool, res < _NEWTON_TOLERANCE))
@@ -389,11 +371,8 @@ def _grid_starts():
 
 
 def _snap_axis(value):
-    scale = 1 + abs(value)
-    if abs(value.imag) < _SNAP_EPS * scale:
+    if abs(value.imag) < _SNAP_EPS * (1 + abs(value)):
         return complex(value.real, 0.0)
-    if abs(value.real) < _SNAP_EPS * scale:
-        return complex(0.0, value.imag)
     return value
 
 
@@ -421,8 +400,8 @@ def residual_fig8(p, zeta, omega):
 
 def _polished(p, roots):
     """(z, w, residual, sheet) for each Newton result (s, w, residual, ok)
-    that is no cleared root, meets the residual bound snapped to the axes
-    and has z != 1; each dropped root is logged.
+    that is no cleared root, meets the residual bound snapped onto the
+    real axis and has z != 1; each dropped root is logged.
 
     This is the one test a Newton root must pass to become a point. ok is
     not read: a root on which Newton gave up just above _NEWTON_TOLERANCE
@@ -549,9 +528,10 @@ def symmetry_orbit(point):
     """Orbit {(z, w), (conj z, conj w), (1/z, w), (conj 1/z, conj w)}.
 
     Accepts a SaddlePoint or a bare (zeta, omega) pair of finite
-    coordinates, zeta nonzero (DomainError otherwise); members closer
-    than _MEMBERSHIP_DISTANCE (1e-8, as in classify) are merged, so
-    unit-modulus or real points yield orbits of size 2.
+    coordinates, zeta nonzero with a finite 1/zeta (DomainError
+    otherwise); members closer than _MEMBERSHIP_DISTANCE (1e-8, as in
+    classify) are merged, so unit-modulus or real points yield orbits of
+    size 2.
     """
     if isinstance(point, SaddlePoint):
         zeta, omega = point.zeta, point.omega
@@ -561,11 +541,14 @@ def symmetry_orbit(point):
         raise DomainError(f"coordinates must be finite, got ({zeta}, {omega})")
     if zeta == 0:
         raise DomainError("zeta must be nonzero")
+    inverse = 1 / zeta
+    if not cmath.isfinite(inverse):
+        raise DomainError(f"1/zeta passes the float range at zeta = {zeta}")
     members = [
         (zeta, omega),
         (zeta.conjugate(), omega.conjugate()),
-        (1 / zeta, omega),
-        ((1 / zeta).conjugate(), omega.conjugate()),
+        (inverse, omega),
+        (inverse.conjugate(), omega.conjugate()),
     ]
     members.sort(key=lambda m: (m[0].real, m[0].imag, m[1].real, m[1].imag))
     orbit = []
@@ -621,7 +604,8 @@ def track_geometric(p_values):
     root passes the test of solve_fig8's points (_polished), _points
     branch-corrects it, and it is the point if classify labels it
     geometric (Im V > 0). A framing where it is not raises DomainError, as
-    at p = 1..4, which have no hyperbolic structure. Measured with one
+    at p = 1..4, which have no hyperbolic structure, and so does a p < 1
+    or one without a float, whose pi/p has none. Measured with one
     call per framing: every p in 5..3000, 600 seeded random p in
     3001..10^6, and 3e6, 1e7 and 1e8, where _polished's bound grows with
     the rounding of s^p, and 7e8, 1e9, 3e9, 1e10 and 1e12, where its z = 1
@@ -633,6 +617,7 @@ def track_geometric(p_values):
         p = checked_integer(p, "surgery coefficient")
         if p < 1:
             raise DomainError(f"geometric tracking needs p >= 1, got {p}")
+        within_float_range(p, "surgery coefficient")
         root = _newton(p, cmath.exp(-1j * math.pi / p),
                        cmath.exp(-1j * math.pi / 3))
         geometric = [pt for pt in classify(_points(p, _polished(p, [root])))

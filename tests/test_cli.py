@@ -233,6 +233,30 @@ class TestSweepCommand:
         assert code == 0
         assert out == ",".join(SADDLE_SCHEMA) + "\n"
 
+    def test_negative_count(self, capsys):
+        code, out, err = _run(["sweep", "--count", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --count must be nonnegative, got -1\n"
+
+
+class TestInputsPastTheFloatRange:
+    """An order or framing of 10^400 has no float: each command says so
+    on one stderr line and exits 1."""
+
+    BIG = str(10 ** 400)
+
+    @pytest.mark.parametrize("argv", [
+        ["wrt", "--N", BIG, "--p", "1"],
+        ["jones", "--N", BIG, "--n", "1"],
+        ["growth", "--p", "1", "--N-list", BIG],
+        ["sweep", "--start", BIG, "--count", "1"],
+        ["sweep", "--start", "6", "--step", BIG, "--count", "2"]])
+    def test_domain_error(self, argv, capsys):
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "passes the float range" in err
+
 
 class TestGrowthCommand:
     def test_rows_sorted(self, capsys):
@@ -277,6 +301,12 @@ class TestSpecialCommand:
         code, _, err = _run(["special", "--fn", "li2", "--arg", "zzz"], capsys)
         assert code == 1
         assert "could not parse" in err
+
+    def test_real_parse_error(self, capsys):
+        code, out, err = _run(["special", "--fn", "cl2", "--arg", "abc"],
+                              capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: could not parse 'abc' as a real number\n"
 
 
 class TestOutputTarget:

@@ -163,6 +163,18 @@ class TestGradient:
         with pytest.raises(SingularPointError):
             eval_log_gradient(p, (0.5, 0.5))  # z/w = 1
 
+    # z w overflows; 1/w overflows, and w ** -1 raises; p/2 Log z
+    # overflows; p has no float
+    @pytest.mark.parametrize("p, point", [
+        (6, (1e300, 1e10)), (6, (1.0, 5e-324)), (10 ** 308, (1e-300, 0.5)),
+        (10 ** 400, (0.5, 0.7))],
+        ids=["zw", "inverse-w", "p-log-z", "p-without-float"])
+    def test_overflow_is_a_domain_error(self, p, point):
+        with pytest.raises(DomainError, match="float range"):
+            eval_log_gradient(p, point)
+        with pytest.raises(DomainError, match="float range"):
+            eval_potential(p, point)
+
 
 class TestBranchCorrection:
     def test_unit_modulus_saddle(self):
@@ -194,3 +206,11 @@ class TestBranchCorrection:
     def test_generic_point_rejected(self):
         with pytest.raises(BranchInconsistencyError):
             branch_correct(6, (complex(0.5, 0.5), complex(0.7, 0.0)))
+
+    @pytest.mark.parametrize("point", [
+        (1e300, 1e10), (complex(1e300, 1e300), complex(1e10, 1e10))])
+    def test_overflowing_gradient_is_a_domain_error(self, point):
+        # the gradient is (inf, inf - 2 pi i) or NaN there, and round()
+        # of its correction raised a bare ValueError
+        with pytest.raises(DomainError, match="float range"):
+            branch_correct(6, point)

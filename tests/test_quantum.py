@@ -48,6 +48,15 @@ class TestContext:
         with pytest.raises(DomainError):
             RootOfUnityContext(True)
 
+    def test_order_past_the_float_range(self):
+        with pytest.raises(DomainError, match="order passes the float range"):
+            RootOfUnityContext(10 ** 400)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_q_power_of_a_non_finite_float(self, x):
+        with pytest.raises(DomainError, match="finite"):
+            RootOfUnityContext(5).q_power(x)
+
     def test_q_is_primitive_root(self):
         ctx = RootOfUnityContext(12)
         assert abs(ctx.q ** 12 - 1) < 1e-14
@@ -384,8 +393,8 @@ class TestCertifiedZeros:
 
 class TestFloatRange:
     """abs_sum passes the float range from N = 2137 (direct) and N = 2173
-    (double). A lower bound on it, in O(N) floats, stops the orders from
-    N = 2159 and N = 2195 before any table is built; round 1 stops the
+    (double). A lower bound on it, in O(1) floats, stops the orders from
+    N = 2160 and N = 2196 before any table is built; round 1 stops the
     orders between."""
 
     def test_bound_below_abs_sum(self):
@@ -405,6 +414,22 @@ class TestFloatRange:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert "N = 100000" in captured.err
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("argv", [
+        ["wrt", "--N", str(10 ** 8), "--p", "1"],
+        ["wrt", "--N", str(10 ** 12), "--p", "1"],
+        ["growth", "--p", "1", "--N-list", str(10 ** 300)]])
+    def test_huge_orders_fail_fast(self, argv, capsys):
+        # the bound is a closed form: no order builds N floats
+        start = time.perf_counter()
+        code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.count("\n") == 1
+        assert "the summed magnitude of the terms passes the float range" \
+            in captured.err
         assert elapsed < 2
 
     def test_orders_below_the_bound_stop_at_round_one(self, monkeypatch):
@@ -1178,6 +1203,13 @@ class TestStackedProducts:
             for p in framings:
                 assert repr(round_one(ctx, p)) == repr(unstacked(p)), \
                     (route, N, p)
+
+
+class TestToFloat:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_past_the_float_range(self, sign):
+        assert qi._to_float(sign << 2000, 3) == sign * math.inf
+        assert qi._to_float(sign * 5, 1) == sign * 2.5
 
 
 class TestFormulaDiscrepancy:

@@ -251,6 +251,11 @@ class TestSymmetryOrbit:
         with pytest.raises(DomainError, match="finite"):
             symmetry_orbit(point)
 
+    def test_subnormal_zeta_rejected(self):
+        # 1/zeta overflows: the orbit would hold infinite members
+        with pytest.raises(DomainError, match="1/zeta"):
+            symmetry_orbit((1e-320, 1))
+
     def test_accepts_saddle_point(self):
         pt = solve_fig8(6)[0]
         orbit = symmetry_orbit(pt)
