@@ -40,14 +40,6 @@ from .quantum_invariants import (
     wrt_direct,
     wrt_double_sum,
 )
-from .saddle_solver import (
-    SaddlePoint,
-    classify,
-    residual_fig8,
-    solve_fig8,
-    symmetry_orbit,
-    track_geometric,
-)
 from .specfun import (
     bernoulli2_periodic,
     clausen2,
@@ -57,6 +49,18 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+# The saddle solver needs numpy, which the q-series code does not; its
+# names load it on first use (PEP 562).
+_SADDLE_NAMES = frozenset({"SaddlePoint", "classify", "residual_fig8",
+                           "solve_fig8", "symmetry_orbit", "track_geometric"})
+
+
+def __getattr__(name):
+    if name in _SADDLE_NAMES:
+        from . import saddle_solver
+        return getattr(saddle_solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BranchCorrection",

@@ -34,7 +34,6 @@ from .quantum_invariants import (
     wrt_direct,
     wrt_double_sum,
 )
-from .saddle_solver import solve_fig8, track_geometric
 from .specfun import bernoulli2_periodic, clausen2, dilog
 
 __all__ = ["main", "emit_csv"]
@@ -108,12 +107,16 @@ def _cmd_wrt(args):
                     ["N", "p", "form", "re", "im"])
 
 
+# saddle, olim and sweep import the saddle solver, and with it numpy, at
+# each call, so the q-series subcommands never load numpy.
 def _cmd_saddle(args):
+    from .saddle_solver import solve_fig8
     points = solve_fig8(args.p)
     return emit_csv([_saddle_row(args.p, pt) for pt in points], _SADDLE_SCHEMA)
 
 
 def _cmd_olim(args):
+    from .saddle_solver import solve_fig8
     refs = load_references(args.refs) if args.refs else builtin_references()
     by_p = {ref.p: ref for ref in refs}
     if args.p not in by_p:
@@ -134,6 +137,7 @@ def _cmd_olim(args):
 
 
 def _cmd_sweep(args):
+    from .saddle_solver import track_geometric
     if args.count < 0:
         raise DomainError(f"--count must be nonnegative, got {args.count}")
     framings = [args.start + args.step * i for i in range(args.count)]

@@ -13,10 +13,11 @@ where each entry of A and B is a sign or a power of zeta times a prefix
 product, S_k = prod_{a<=k} 2 sin(pi a/N) or (q)_k = prod_{j<=k} (1 - q^j).
 A reads the products forward and B backward, so no table divides; the
 only division is by D. The framing enters only through the phase
-zeta^{p n^2} of row n. So in every ring one row builder (_fixed_rows)
-sums the rows once, each an exact dot of integer tables, and a framing
-costs one exact dot of the N rows with its phases, by one framing dot
-(_framing_dot).
+zeta^{p n^2} of row n, and in both routes row N - n equals row n. So in
+every ring one row builder (_fixed_rows) sums the rows n <= N/2 once,
+each an exact dot of integer tables, and a framing costs one exact dot of
+those N/2 rows with the sums of the phases of n and N - n, by one framing
+dot (_framing_dot).
 
 Every round of each route is one exact integer sum: the tables of
 _route_tables over _mp_tables(N, dps), with c/D for c, and zeta^j are
@@ -36,7 +37,9 @@ round whose result is itself rounding noise escalates again at twice its
 digits or more.
 
 An exact zero of tau_N never clears the budget, so a round 1 that misses
-it triggers a zero certificate. For a prime l = 1 (mod 4N) the ring map
+it asks _certified_zero. At odd N with p = 2 (mod 4) the sum is 0 by the
+odd-color splitting the mirrored rows give (derived there). Any other zero
+needs the certificate: for a prime l = 1 (mod 4N) the ring map
 sending zeta to a primitive 4N-th root of unity in F_l evaluates both sums
 exactly; the certificate runs the same row builder and framing dot over
 the images of the tables (_field_image), reduced mod l once per row, and
@@ -331,9 +334,13 @@ def _noise_floor(abs_sum, N, dps):
               2 sin x >= 4x/pi on [0, pi/2]; their powers of zeta 8u;
               c_n/D u (5 + 3/|c_n|) <= 5u + 0.75 N u, as |c_n| = t_n >= 4/N;
               the phase 3u: at most (3 ln N + 11.7) N u + 16u.
-    The double route's bound covers the direct one's. The float value is
-    then rounded once, by less than 2^-53 of itself. The floor does not
-    fall below 1e-300, where it would underflow.
+    The double route's bound covers the direct one's. The rows n > N/2 are
+    read as mirrors of the rows N - n (_fixed_rows): term m of a mirrored
+    row has the same factor counts and the same moduli as term m of the row
+    it stands for, so the bound per term covers it, and abs_sum counts each
+    mirrored row with the moduli of the row it stands for (_fixed_sum). The
+    float value is then rounded once, by less than 2^-53 of itself. The
+    floor does not fall below 1e-300, where it would underflow.
     """
     bits = _mp_context(dps).prec
     return max(math.ldexp(abs_sum, -bits) * ((3 * math.log(N) + 12) * N + 16),
@@ -477,11 +484,21 @@ def _field_image(ctx, p, route, field):
 
 
 def _certified_zero(ctx, p, route):
-    """True when route's _field_image vanishes in every certificate field.
+    """True when route's bare sum is zero by the odd-color splitting, or
+    when its _field_image vanishes in every certificate field.
 
-    Each image is the dot of its route's rows, built once per context and
-    field, with the framing's phases zeta^{p n^2}, so the second and third
-    zeros of an order cost O(N) per field. The image is a
+    The splitting. With R_{N-n} = R_n (derived in _fixed_rows) and
+    zeta^{2N} = -1, zeta^{p(N-n)^2} = (-1)^{pn} zeta^{p N^2} zeta^{p n^2}.
+    At odd N, n -> N - n maps the odd colors onto the even ones, and
+    zeta^{2p N^2} = (-1)^{pN} = (-1)^p, so in either route and every ring
+      sum_n R_n zeta^{p n^2} = (1 + zeta^{-p N^2}) sum_{n odd} R_n zeta^{p n^2},
+    the shape of Kirby-Melvin's tau_N = tau_3 tau'_N at odd N (Invent.
+    Math. 105, 1991). zeta^{-p N^2} = i^{-pN} is -1 when p = 2 (mod 4), so
+    there the sum is 0 and no field is built.
+
+    Otherwise each image is the dot of its route's rows, built once per
+    context and field, with the framing's phases zeta^{p n^2}, so a
+    further zero of an order costs O(N) per field. The image is a
     ring map of a sum in Z[zeta], so a true zero always passes. A nonzero
     sum that passed would have to lie in a degree-one prime above each of
     two primes near 2^61, and, since _resolved asks only after round 1
@@ -489,6 +506,8 @@ def _certified_zero(ctx, p, route):
     1e12 times its noise floor (_noise_floor at _ROUND_ONE_DPS digits).
     The check proves nothing beyond those conditions.
     """
+    if ctx.N % 2 and p % 4 == 2:
+        return True
     fields = ctx._kept(_certificate_fields, _certificate_fields, ctx.N)
     return all(_field_image(ctx, p, route, field) == 0 for field in fields)
 
@@ -576,26 +595,51 @@ def _to_float(value, shift):
 
 
 def _fixed_rows(N, A, B, c):
-    """The rows c_n sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}, 1 <= n < N, of
+    """The rows R_n = c_n sum_{m<n} A_{n+m} B_{n-m-1}, 1 <= n <= N/2, of
     D times the bare sum, as part lists, from integer tables of
     _route_tables given by their part lists, (re,) or (re, im): the
     mpmath tables through _fixed, or the certificate's F_l tables as one
     part each. Each row is an exact dot, four real ones for a complex
-    row, times c_n."""
+    row, times c_n.
+
+    The other rows are mirrors, R_{N-n} = R_n, in either route, since each
+    row is D times the step-by-step row of its color:
+      direct: the row t_n^2 J_n has t_{N-n} = t_n, and J_{N-n} = J_n term
+        by term, as t_{N-a} = t_a maps the factors -t_{n+l} t_{n-l} of
+        N - n onto those of n, and a term with m >= min(n, N - n) holds
+        t_0 = 0 or t_N = 0;
+      double: y_{N-k} = -q^{-k} y_k makes the ratio
+        prod_{i<=m} y_{n+i} y_{n-i} of N - n equal q^{-2n(m+1)} times that
+        of n, while its phase zeta^{-4(N-n)(m+1)} = q^{n(m+1)} is
+        q^{2n(m+1)} times that of n.
+    Term m of row N - n reads the prefix products S_{n+m} and S_{N-n+m},
+    or (q)_{n+m} and (q)_{N-n+m}, as term m of row n does, so in the
+    direct route's integer tables the mirror is exact, and in the double
+    route's it holds to the rounding of the entries. So only the rows
+    n <= N/2 are built, and _framing_dot reads each once for both colors.
+    """
+    half = N // 2
     rows = [_times(c_n, _times([part[n:] for part in A],
                                [part[n - 1::-1] for part in B], _dot))
-            for n, c_n in enumerate(zip(*(part[1:] for part in c)), 1)]
+            for n, c_n in enumerate(zip(*(part[1:half + 1] for part in c)), 1)]
     return tuple(map(list, zip(*rows)))
 
 
 def _framing_dot(N, p, rows, zeta):
-    """sum_{n=1}^{N-1} rows[n-1] zeta^{p n^2}, the framing's only part in
-    either sum, as the exact dot of the part lists of _fixed_rows with the
-    phases read from the part lists of zeta^j, 0 <= j < 4N."""
-    order = 4 * N
+    """sum_{n=1}^{N-1} R_n zeta^{p n^2}, the framing's only part in either
+    sum, as sum_{n<=N/2} R_n (zeta^{p n^2} + zeta^{p (N-n)^2}) over the
+    part lists of the rows of _fixed_rows, with R_{N-n} = R_n; the middle
+    row n = N/2 of an even order is read once, with its one phase. The two
+    phases, read from the part lists of zeta^j, 0 <= j < 4N, are added as
+    exact integers, and the dot is exact, so wherever the mirror is exact
+    this is the dot of all N - 1 rows, bit for bit."""
+    order, half = 4 * N, N // 2
     p %= order
-    index = [p * n * n % order for n in range(1, N)]
-    return _times(rows, tuple([part[j] for j in index] for part in zeta), _dot)
+    index = [p * n * n % order for n in range(1, half + 1)]
+    mirror = [p * (N - n) * (N - n) % order for n in range(1, N - half)]
+    phases = tuple([part[j] + part[k] for j, k in zip(index, mirror)]
+                   + [part[j] for j in index[len(mirror):]] for part in zeta)
+    return _times(rows, phases, _dot)
 
 
 def _fixed_sum(N, dps, route):
@@ -609,7 +653,9 @@ def _fixed_sum(N, dps, route):
     None at any other digits. A term is a row's term times c_n/D
     zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum is the rows over the
     moduli of the entries, each to the unit below, and does not depend on
-    the framing.
+    the framing. Term m of row N - n has the modulus of term m of row n
+    (_fixed_rows), so abs_sum is twice the N/2 rows of moduli less the
+    middle row of an even order.
     """
     t, zeta, y = _mp_tables(N, dps)
     A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
@@ -620,7 +666,8 @@ def _fixed_sum(N, dps, route):
         moduli = [([math.isqrt(_dot(entry, entry)) for entry in zip(*table)],)
                   for table in (A, B, c)]
         (magnitudes,) = _fixed_rows(N, *moduli)
-        abs_sum = _to_float(sum(magnitudes), a + b + s)
+        middle = magnitudes[-1] if N % 2 == 0 else 0
+        abs_sum = _to_float(2 * sum(magnitudes) - middle, a + b + s)
     return _fixed_rows(N, A, B, c), zeta, a + b + s + z, abs_sum
 
 
@@ -725,7 +772,9 @@ def formula_discrepancy(a, b):
     p = 0 at N = +-1 (mod 5). (11, +-11) is another zero off that grid.
     The first family is the one Kirby-Melvin's factorization
     tau_N = tau_3 tau'_N for odd N (Invent. Math. 105, 1991) gives, since
-    tau_3(M_p) vanishes at exactly those p on the measured range.
+    tau_3(M_p) vanishes at exactly those p on the measured range; both
+    routes return it by theorem (_certified_zero), the others through the
+    zero certificate.
     """
     scale = max(abs(a), abs(b))
     diff = abs(a - b)

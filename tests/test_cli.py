@@ -7,9 +7,12 @@ are end-to-end checks rather than golden files.
 
 import csv
 import io
+import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -37,8 +40,8 @@ SCHEMAS = {
     "growth": ["N", "log_tau", "log_tau_over_N", "log_tau_over_log_N"],
     "special": ["fn", "arg", "re", "im"],
 }
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def _readme_commands():
@@ -401,3 +404,74 @@ class TestRepeatedCalls:
         assert code == 0 and err == ""
         _, rows = _rows(out)
         assert rows[0]["fn"] == "b2"
+
+
+# Runs each argv of sys.argv[1] through cli.main in an interpreter whose
+# import system refuses numpy; prints each exit code and stdout, or the
+# exception's type name, and whether numpy was loaded.
+WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+from olim41 import cli
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            results.append([cli.main(argv), out.getvalue()])
+    except ImportError as exc:
+        results.append([type(exc).__name__, str(exc)])
+json.dump({"results": results, "numpy": "numpy" in sys.modules}, sys.stdout)
+"""
+
+
+class TestNoNumpyOnTheQSeriesPath:
+    """jones, wrt, growth and special never import numpy; the saddle
+    solver's names import it on first use."""
+
+    def run_without_numpy(self, argvs):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_q_series_commands(self, capsys):
+        argvs = [shlex.split(line)[1:] for line in _readme_commands()
+                 if line.split()[1] in ("jones", "wrt", "growth", "special")]
+        assert len(argvs) == 4
+        result = self.run_without_numpy(argvs)
+        assert result["numpy"] is False
+        for argv, (code, out) in zip(argvs, result["results"]):
+            assert [code, out] == list(_run(argv, capsys)[:2]), argv
+
+    def test_saddle_needs_numpy(self):
+        # the control: the refusal reaches the saddle solver's import
+        result = self.run_without_numpy([["saddle", "--p", "6"]])
+        assert result["results"] == [["ImportError", "numpy is refused"]]
+
+    def test_saddle_names_load_on_use(self):
+        import olim41
+        from olim41 import saddle_solver
+
+        for name in ("SaddlePoint", "classify", "residual_fig8",
+                     "solve_fig8", "symmetry_orbit", "track_geometric"):
+            assert getattr(olim41, name) is getattr(saddle_solver, name)
+        namespace = {}
+        exec("from olim41 import *", namespace)
+        assert namespace["solve_fig8"] is saddle_solver.solve_fig8
+        assert set(olim41.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            olim41.no_such_name

@@ -341,6 +341,19 @@ class TestCertifiedZeros:
         for N, p in self.DOUBLE_ONLY:
             assert wrt_double_sum(RootOfUnityContext(N), p) == 0j, (N, p)
 
+    def test_odd_orders_zero_by_theorem(self, monkeypatch):
+        # at odd N with p = 2 (mod 4) the odd-color factor 1 + i^{-pN}
+        # vanishes, so both routes return 0 without building a field
+        calls = [counted(monkeypatch, name) for name in
+                 ("_certificate_fields", "_field_tables", "_field_image")]
+        for N in (33, 35, 37):
+            ctx = RootOfUnityContext(N)
+            for p in (2, 6, 10):
+                assert wrt_direct(ctx, p) == 0j, (N, p)
+                assert wrt_double_sum(ctx, p) == 0j, (N, p)
+                assert wrt_double_sum(ctx, -p) == 0j, (N, -p)
+        assert calls == [[], [], []]
+
     def test_escalated_nonzero_is_not_zeroed(self):
         for N, p in ((60, 6), (64, 6)):
             ctx = RootOfUnityContext(N)
@@ -486,24 +499,32 @@ class TestStatePerContext:
         assert len(builds) == len(set(builds))
         assert (500, 40, "direct") in builds and len(builds) > 1
 
+    # zeros that the odd-color splitting does not give, with their routes
+    CERTIFIED = [(9, 9, ("direct", "double")), (9, -9, ("double",)),
+                 (11, 11, ("direct", "double")), (11, -11, ("double",)),
+                 (4, 0, ("double",)), (6, 0, ("double",)),
+                 (14, 0, ("double",))]
+
     def test_certificate_built_once_per_field(self, monkeypatch):
-        orders = (33, 35, 37)
-        contexts = [RootOfUnityContext(N) for N in orders]
-        for ctx in contexts:   # round 1's rows, built before the count
-            qi._direct_sum_f64(ctx, 2), qi._double_sum_f64(ctx, 2)
+        orders = sorted({N for N, _, _ in self.CERTIFIED})
+        contexts = {N: RootOfUnityContext(N) for N in orders}
+        for ctx in contexts.values():   # round 1's rows, built before the count
+            qi._direct_sum_f64(ctx, 1), qi._double_sum_f64(ctx, 1)
         builds = {name: counted(monkeypatch, name)
                   for name in ("_field_tables", "_route_tables", "_fixed_rows")}
-        for p in (2, 6, 10):
-            for ctx in contexts:
-                assert wrt_direct(ctx, p) == 0j, (ctx, p)
-                assert wrt_double_sum(ctx, p) == 0j, (ctx, p)
+        for _ in range(2):   # each zero comes back once
+            for N, p, routes in self.CERTIFIED:
+                for route in routes:
+                    tau = wrt_direct if route == "direct" else wrt_double_sum
+                    assert tau(contexts[N], p) == 0j, (N, p, route)
         fields = {N: qi._certificate_fields(N) for N in orders}
         assert sorted(builds["_field_tables"]) == sorted(
             (N, ell, r) for N in orders for ell, r in fields[N])
         # one row set per (field, route) and context, each built by
         # _fixed_rows over one-part integer tables in F_l
-        per_field = sorted((N, route) for N in orders for _ in fields[N]
-                           for route in ("direct", "double"))
+        routes = {(N, route) for N, _, used in self.CERTIFIED for route in used}
+        per_field = sorted((N, route) for N, route in routes
+                           for _ in fields[N])
         assert sorted((args[0], args[4])
                       for args in builds["_route_tables"]) == per_field
         assert sorted(args[0] for args in builds["_fixed_rows"]) == \
@@ -663,25 +684,30 @@ class TestFiniteFieldImage:
             assert qi._field_image(ctx, 1, "double", field) != 0
 
     def test_field_tables_built_once_per_field(self, monkeypatch):
-        # the three zeros at N = 37 over both routes take 12 images and
-        # build each field's tables once and each (field, route) row list
-        # once; the sum loops leave the kept tables and rows as built
-        ctx = RootOfUnityContext(37)
-        qi._direct_sum_f64(ctx, 2), qi._double_sum_f64(ctx, 2)   # round 1's
+        # the zeros (N, N) of both routes and (N, -N) of the double route,
+        # at N = 9 and 11, take 6 images per order, build each field's
+        # tables once and each (field, route) row list once; the sum loops
+        # leave the kept tables and rows as built
+        contexts = [RootOfUnityContext(N) for N in (9, 11)]
+        for ctx in contexts:   # round 1's
+            qi._direct_sum_f64(ctx, 1), qi._double_sum_f64(ctx, 1)
         builds = {name: counted(monkeypatch, name)
                   for name in ("_field_tables", "_fixed_rows")}
-        for p in (2, 6, 10):
-            assert wrt_direct(ctx, p) == 0j and wrt_double_sum(ctx, p) == 0j
-        fields = qi._certificate_fields(37)
+        for ctx in contexts:
+            N = ctx.N
+            assert wrt_direct(ctx, N) == 0j and wrt_double_sum(ctx, N) == 0j
+            assert wrt_double_sum(ctx, -N) == 0j
+        fields = {N: qi._certificate_fields(N) for N in (9, 11)}
         assert sorted(builds["_field_tables"]) == \
-            sorted((37, ell, r) for ell, r in fields)
-        assert len(builds["_fixed_rows"]) == 2 * len(fields)
-        fresh = RootOfUnityContext(37)
-        for field in fields:
-            for route in ("direct", "double"):
-                image = qi._field_image(ctx, 1, route, field)
-                assert image != 0
-                assert image == qi._field_image(fresh, 1, route, field)
+            sorted((N, ell, r) for N in (9, 11) for ell, r in fields[N])
+        assert len(builds["_fixed_rows"]) == 2 * sum(map(len, fields.values()))
+        for ctx in contexts:
+            fresh = RootOfUnityContext(ctx.N)
+            for field in fields[ctx.N]:
+                for route in ("direct", "double"):
+                    image = qi._field_image(ctx, 1, route, field)
+                    assert image != 0
+                    assert image == qi._field_image(fresh, 1, route, field)
 
     def test_certificate_needs_every_field(self, monkeypatch):
         first = qi._certificate_fields(5)[0]
@@ -715,6 +741,19 @@ def framed(N, p, rows, zeta, reduce):
     total = 0
     for n, row in enumerate(rows, 1):
         total += row * zeta[(p * n * n) % (4 * N)]
+    return reduce(total)
+
+
+def framed_pairs(N, p, rows, zeta, reduce):
+    """sum_{n=1}^{N-1} R_n zeta^{p n^2} from the rows R_n, n <= N/2, with
+    R_{N-n} = R_n: each pair (n, N - n) term by term, the middle row of an
+    even order once."""
+    order, total = 4 * N, 0
+    for n, row in enumerate(rows, 1):
+        phase = zeta[p * n * n % order]
+        if 2 * n != N:
+            phase = phase + zeta[p * (N - n) ** 2 % order]
+        total += row * phase
     return reduce(total)
 
 
@@ -935,7 +974,7 @@ class TestOddColorSplitting:
     FRAMINGS = (1, 2, 3, 4, 5, 8, 9, 10, 12, -3, -5)
 
     def test_odd_N_sums_split(self):
-        checks = 0
+        checks = zeros = 0
         for N in range(3, 62, 2):
             order = 4 * N
             for ell, r in qi._certificate_fields(N):
@@ -954,7 +993,48 @@ class TestOddColorSplitting:
                         assert framed(N, p, rows, zeta, mod) == split, \
                             (N, route, p)
                         checks += 1
-        assert checks == 1320
+                        if p % 4 == 2:   # the factor 1 + i^{-pN} is 0
+                            assert split == 0, (N, route, p)
+                            zeros += 1
+        assert (checks, zeros) == (1320, 240)
+
+
+class TestHalfRows:
+    """_fixed_rows builds the rows n <= N/2, R_1 .. R_{N//2} of
+    table_rows; the mirror R_{N-n} = R_n is exact in F_l and in the direct
+    route's integer tables."""
+
+    def test_field_rows(self):
+        for N in (3, 4, 9, 16, 37, 64):
+            for ell, r in qi._certificate_fields(N):
+                def mod(v):
+                    return v % ell
+
+                t, zeta, y = qi._field_tables(N, ell, r)
+                for route in ("direct", "double"):
+                    A, B, c, _ = qi._route_tables(N, t, zeta, y, route, mod)
+                    (rows,) = qi._fixed_rows(N, (A,), (B,), (c,))
+                    full = table_rows(N, A, B, c, mod)
+                    assert len(rows) == N // 2, (N, route)
+                    assert [mod(row) for row in rows] == full[:N // 2]
+                    assert full == full[::-1], (N, route)
+
+    @pytest.mark.parametrize("dps", [40, 80])
+    def test_replay_rows(self, dps):
+        for N in (3, 4, 9, 16, 37, 64):
+            t, zeta, y = qi._mp_tables(N, dps)
+            for route in ("direct", "double"):
+                A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
+                tables = [qi._fixed(v)[0] for v in (A, B, [v / D for v in c])]
+                rows = qi._fixed_rows(N, *tables)
+                full = table_rows(N, *map(gaussians, tables), unreduced)
+                assert len(rows[0]) == N // 2, (N, route)
+                assert rows == tuple(map(list, zip(*(
+                    row.parts(len(rows)) for row in full[:N // 2])))), \
+                    (N, route)
+                if route == "direct":
+                    assert [row.re for row in full] == \
+                        [row.re for row in full[::-1]], N
 
 
 def loop_direct_sum(N, p, t, zeta, reduce):
@@ -1173,9 +1253,12 @@ class TestStackedProducts:
 
     @staticmethod
     def unstacked_round_one(N, route):
-        """p -> (value, abs_sum) of route's round 1, from _route_tables over
-        _mp_tables at round 1's digits, as Gaussians summed term by term by
-        table_rows and framed, and rounded once from the exact sums."""
+        """p -> ((value, abs_sum), full) of route's round 1, from
+        _route_tables over _mp_tables at round 1's digits, as Gaussians
+        summed term by term and rounded once from the exact sums. The first
+        pair sums the rows n <= N/2 of table_rows and frames each pair
+        (n, N - n) by framed_pairs, as the package does; full is the
+        (value, abs_sum) of all N - 1 rows, framed row by row."""
         t, zeta, y = qi._mp_tables(N, qi._ROUND_ONE_DPS)
         A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
         (A, a), (B, b), (c, s), (zeta, z) = map(
@@ -1183,26 +1266,40 @@ class TestStackedProducts:
         rows = table_rows(N, A, B, c, unreduced)
         moduli = [[math.isqrt(v.re ** 2 + v.im ** 2) for v in table]
                   for table in (A, B, c)]
-        abs_sum = sum(table_rows(N, *moduli, unreduced)) / 2 ** (a + b + s)
+        magnitudes = table_rows(N, *moduli, unreduced)
+        half = magnitudes[:N // 2]
+        abs_sums = [value / 2 ** (a + b + s) for value in (
+            2 * sum(half) - (half[-1] if N % 2 == 0 else 0), sum(magnitudes))]
+        scale = 2 ** (a + b + s + z)
+
+        def rounded(total):
+            return complex(total.re / scale, total.im / scale)
 
         def round_one(p):
-            total = framed(N, p, rows, zeta, unreduced)
-            scale = 2 ** (a + b + s + z)
-            return complex(total.re / scale, total.im / scale), abs_sum
+            paired = framed_pairs(N, p, rows[:N // 2], zeta, unreduced)
+            full = framed(N, p, rows, zeta, unreduced)
+            return ((rounded(paired), abs_sums[0]),
+                    (rounded(full), abs_sums[1]))
 
         return round_one
 
     @pytest.mark.parametrize("N", [*range(3, 97), 520])
     def test_round_one(self, N):
-        # at N = 520 the tables' entries span more than 200 bits
+        # at N = 520 the tables' entries span more than 200 bits. The sum
+        # over all rows differs from round 1's only where the double
+        # route's mirrored rows round differently, within the noise floor.
         framings = range(-40, 41) if N < 97 else (-7, 6, 40)
         ctx = RootOfUnityContext(N)
         for route in ("direct", "double"):
             round_one = getattr(qi, f"_{route}_sum_f64")
             unstacked = self.unstacked_round_one(N, route)
             for p in framings:
-                assert repr(round_one(ctx, p)) == repr(unstacked(p)), \
-                    (route, N, p)
+                value, abs_sum = round_one(ctx, p)
+                paired, (full, full_abs_sum) = unstacked(p)
+                assert repr((value, abs_sum)) == repr(paired), (route, N, p)
+                assert abs_sum == full_abs_sum, (route, N)
+                assert abs(value - full) <= \
+                    qi._noise_floor(abs_sum, N, qi._ROUND_ONE_DPS), (route, N, p)
 
 
 class TestToFloat:
