@@ -11,6 +11,9 @@ route is stated once (_route_tables): in every ring, D times the bare sum
 is sum_{n=1}^{N-1} c_n zeta^{p n^2} sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1},
 where each entry of A and B is a sign or a power of zeta times a prefix
 product, S_k = prod_{a<=k} 2 sin(pi a/N) or (q)_k = prod_{j<=k} (1 - q^j).
+A ring supplies only its table of zeta^j, 0 <= j < 4N (_mp_tables at each
+round's digits, _field_tables in F_l), and _route_tables derives each
+route's factors 2 sin(pi a/N), 1 - q^k and c_n from it.
 A reads the products forward and B backward, so no table divides; the
 only division is by D. The framing enters only through the phase
 zeta^{p n^2} of row n, and in both routes row N - n equals row n. So in
@@ -105,7 +108,7 @@ class RootOfUnityContext:
     It also keeps, as long as it lives, what tau evaluations build once
     per order, each set on first use: the integer rows of each route at
     each round's digits, with abs_sum at round 1's, the float-range bound,
-    and the zero certificate's fields with their F_l tables and rows.
+    and the zero certificate's fields with their F_l zeta tables and rows.
     Shareable across threads without a lock: two threads that race on one
     set may each build it, and the builds agree.
     """
@@ -352,18 +355,24 @@ def _exact(value):
     return value
 
 
-def _route_tables(N, t, zeta, y, route, reduce):
-    """(A, B, c, D) of route ("direct" or "double") in the ring of the
-    tables, with D times the bare sum equal to
+def _route_tables(N, zeta, route, reduce):
+    """(A, B, c, D) of route ("direct" or "double") in the ring of zeta,
+    with D times the bare sum equal to
     sum_{n=1}^{N-1} c_n zeta^{p n^2} sum_{m<min(n, N-n)} A_{n+m} B_{n-m-1}.
 
-    t[a] = 2 sin(pi a/N), zeta[j] = zeta^j and y[k] = 1 - q^k, as
-    _mp_tables builds them; reduce(v) is v in the ring's canonical form.
+    zeta[j] = zeta^j, 0 <= j < 4N, is the ring's only table (_mp_tables,
+    _field_tables); reduce(v) is v in the ring's canonical form. Each route
+    derives its own factors from it, the same way in every ring:
+      direct: t_a = 2 sin(pi a/N) = -i (zeta^{2a} - zeta^{-2a}), the real
+              part of zeta^{3N+2a} - zeta^{3N-2a} (.real is the identity
+              on the ints of F_l), for a <= N/2, and t_{N-a} = t_a, as
+              zeta^{2N} = -1, for the rest;
+      double: y_k = 1 - q^k = 1 - zeta^{4k}.
     With s_k = (-1)^{k(k-1)/2} and the prefix products S_k = prod_{a<=k} t_a
     and (q)_k = prod_{j<=k} y_j, read forward by A and backward by B:
       direct: A_k = s_{k-1} S_k, B_j = s_j S_{N-1-j}, c_n = t_n, D = t_1^2 N;
       double: A_k = zeta^{-k^2} (q)_k, B_j = zeta^{1+2Nj-j^2} (q)_{N-1-j},
-              c_n = zeta^{-4n} - 1, D = N.
+              c_n = -y_{N-n} = zeta^{-4n} - 1, as q^N = 1, D = N.
     prod t_a = prod y_k = N over 0 < a, k < N, t_{N-a} = t_a and
     y_{N-k} = -q^{-k} y_k give 1/S_j = S_M/N and 1/(q)_j =
     (-1)^M q^{-M(M+1)/2} (q)_M/N, M = N-1-j, so no entry divides; the signs
@@ -372,7 +381,12 @@ def _route_tables(N, t, zeta, y, route, reduce):
     hold t_N = 0 or y_N = 0 and are left out. None depends on the framing.
     """
     order = 4 * N
-    factors = t if route == "direct" else y
+    if route == "direct":
+        t = [(zeta[(3 * N + 2 * a) % order] - zeta[3 * N - 2 * a]).real
+             for a in range(N // 2 + 1)]
+        factors = t + t[(N - 1) // 2:0:-1]
+    else:
+        factors = [1 - zeta[4 * k] for k in range(N)]
     prefix = [zeta[0].real]   # the empty product, 1 of the tables' ring
     for k in range(1, N):
         prefix.append(reduce(prefix[-1] * factors[k]))
@@ -381,12 +395,12 @@ def _route_tables(N, t, zeta, y, route, reduce):
             return (-1) ** (k * (k - 1) // 2)
         A = [s(k - 1) * P for k, P in enumerate(prefix)]
         B = [s(j) * P for j, P in enumerate(reversed(prefix))]
-        c, D = t[:N], t[1] * t[1] * N
+        c, D = factors, t[1] * t[1] * N
     else:
         A = [zeta[-k * k % order] * P for k, P in enumerate(prefix)]
         B = [zeta[(1 + 2 * N * j - j * j) % order] * P
              for j, P in enumerate(reversed(prefix))]
-        c, D = [zeta[-4 * n % order] - 1 for n in range(N)], N
+        c, D = [-factors[-n] for n in range(N)], N
     return ([reduce(v) for v in A], [reduce(v) for v in B],
             [reduce(v) for v in c], reduce(D))
 
@@ -445,18 +459,13 @@ def _certificate_fields(N):
 
 
 def _field_tables(N, ell, r):
-    """The zero certificate's three tables: those of _mp_tables in F_ell
-    under zeta -> r, i = zeta^N -> r^N; t_a = -i (zeta^{2a} - zeta^{-2a})
-    becomes zeta^{3N+2a} - zeta^{3N-2a}. zeta^j = r^j is built as a
+    """The zero certificate's table: zeta^j = r^j in F_ell, 0 <= j < 4N,
+    the image under zeta -> r of the table of _mp_tables, built as a
     running product."""
-    order = 4 * N
     zeta = [1]
-    for _ in range(order - 1):
+    for _ in range(4 * N - 1):
         zeta.append(zeta[-1] * r % ell)
-    t = [(zeta[(3 * N + 2 * a) % order] - zeta[(3 * N - 2 * a) % order]) % ell
-         for a in range(N)]
-    y = [(1 - zeta[4 * k]) % ell for k in range(N)]
-    return t, zeta, y
+    return zeta
 
 
 def _field_image(ctx, p, route, field):
@@ -474,11 +483,11 @@ def _field_image(ctx, p, route, field):
         return v % ell
 
     def rows():
-        A, B, c, _ = _route_tables(N, t, zeta, y, route, reduce)
+        A, B, c, _ = _route_tables(N, zeta, route, reduce)
         (sums,) = _fixed_rows(N, (A,), (B,), (c,))
         return ([reduce(row) for row in sums],)
 
-    t, zeta, y = ctx._kept(field, _field_tables, N, ell, r)
+    zeta = ctx._kept(field, _field_tables, N, ell, r)
     (image,) = _framing_dot(N, p, ctx._kept((route, field), rows), (zeta,))
     return reduce(image)
 
@@ -523,18 +532,14 @@ def _mp_context(dps):
 
 @lru_cache(maxsize=8)
 def _mp_tables(N, dps):
-    """t_a = 2 sin(pi a/N) = 2 Im zeta^{2a}, zeta^j = exp(pi i j/(2N)) and
-    y_k = 1 - q^k.
+    """zeta^j = exp(pi i j/(2N)), 0 <= j < 4N, the table of every round.
 
-    The tables of every round (0 <= a, k < N, 0 <= j < 4N), built in
-    _mp_context(dps); each round passes them to _route_tables
-    (_fixed_sum), and the certificate passes their images in F_l
+    Built in _mp_context(dps); each round passes it to _route_tables
+    (_fixed_sum), and the certificate passes its image in F_l
     (_field_tables). Only zeta^j for 0 <= j <= N/2 calls expjpi, under
     _MP_LOCK; the rest of the table is exact part swaps and negations of
     those entries, zeta^{N-j} = i conj(zeta^j) and zeta^{j+N} = i zeta^j,
-    made from their part tuples. Likewise only t_a and y_k for a, k <= N/2
-    are computed; the rest are the exact copies t_{N-a} = t_a and
-    y_{N-k} = conj(y_k) that the filled zeta^j give.
+    made from their part tuples.
     """
     context, half = _mp_context(dps), N // 2
     with _MP_LOCK:
@@ -544,12 +549,7 @@ def _mp_tables(N, dps):
     parts += [(im, re) for re, im in parts[(N - 1) // 2:0:-1]]
     for _ in range(3):
         parts += [(mp.libmp.mpf_neg(im), re) for re, im in parts[-N:]]
-    zeta += [context.make_mpc(z) for z in parts[half + 1:]]
-    t = [2 * zeta[2 * a].imag for a in range(half + 1)]
-    t += t[(N - 1) // 2:0:-1]
-    y = [1 - zeta[4 * k] for k in range(half + 1)]
-    y += [v.conjugate() for v in y[(N - 1) // 2:0:-1]]
-    return t, zeta, y
+    return zeta + [context.make_mpc(z) for z in parts[half + 1:]]
 
 
 def _fixed(values):
@@ -657,8 +657,8 @@ def _fixed_sum(N, dps, route):
     (_fixed_rows), so abs_sum is twice the N/2 rows of moduli less the
     middle row of an even order.
     """
-    t, zeta, y = _mp_tables(N, dps)
-    A, B, c, D = _route_tables(N, t, zeta, y, route, _exact)
+    zeta = _mp_tables(N, dps)
+    A, B, c, D = _route_tables(N, zeta, route, _exact)
     (A, a), (B, b), (c, s), (zeta, z) = [
         _fixed(v) for v in (A, B, [v / D for v in c], zeta)]
     abs_sum = None

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 
@@ -12,8 +11,11 @@ def clausen_pi3_series():
 
     Cl2(pi/3) = (sqrt(3)/2) sum_k [(6k+1)^-2 + (6k+2)^-2 - (6k+4)^-2
     - (6k+5)^-2]; the bracket decays like k^-3, so the tail after the
-    400,000 blocks summed here is about 2e-13.
+    400,000 blocks summed here is about 2e-13. numpy is imported here, not
+    at module level, so the q-series tests run without it.
     """
+    import numpy as np
+
     a = 6.0 * np.arange(400_000, dtype=np.float64)
     s = 1 / (a + 1) ** 2 + 1 / (a + 2) ** 2 - 1 / (a + 4) ** 2 - 1 / (a + 5) ** 2
     return math.sqrt(3.0) / 2.0 * float(np.sum(s))

@@ -289,7 +289,7 @@ class TestZetaTable:
     @pytest.mark.parametrize("N", [3, 4, 5, 36, 37, 97])
     def test_filled_entries(self, N, dps):
         with mp.workdps(dps):
-            _, zeta, _ = qi._mp_tables(N, dps)
+            zeta = qi._mp_tables(N, dps)
             assert len(zeta) == 4 * N
             for j in range(3 * N):   # zeta^{j+N} = i zeta^j
                 assert zeta[j + N].real == -zeta[j].imag, (N, j)
@@ -525,7 +525,7 @@ class TestStatePerContext:
         routes = {(N, route) for N, _, used in self.CERTIFIED for route in used}
         per_field = sorted((N, route) for N, route in routes
                            for _ in fields[N])
-        assert sorted((args[0], args[4])
+        assert sorted((args[0], args[2])
                       for args in builds["_route_tables"]) == per_field
         assert sorted(args[0] for args in builds["_fixed_rows"]) == \
             [N for N, _ in per_field]
@@ -795,12 +795,13 @@ def ring_sums(N, p, t, zeta, y, reduce):
             framed(N, p, step_double_rows(N, y, zeta, reduce), zeta, reduce))
 
 
-def route_sums(N, p, t, zeta, y, reduce):
+def route_sums(N, p, zeta, reduce):
     """(D times the bare sum, D) of each route, as the package takes them:
-    the rows of _route_tables' tables times the framing's phases."""
+    the rows of _route_tables' tables over zeta^j times the framing's
+    phases."""
     sums = []
     for route in ("direct", "double"):
-        A, B, c, D = qi._route_tables(N, t, zeta, y, route, reduce)
+        A, B, c, D = qi._route_tables(N, zeta, route, reduce)
         sums.append((framed(N, p, table_rows(N, A, B, c, reduce), zeta,
                             reduce), D))
     return sums
@@ -912,7 +913,7 @@ class TestOneElementOfZZeta:
                 assert abs(direct.at(root) - replay_direct) < 1e-45
                 assert abs(double.at(root) - replay_double) < 1e-45
                 (new_direct, D_direct), (new_double, D_double) = route_sums(
-                    N, p, t, zeta, y, qi._exact)
+                    N, p, zeta, qi._exact)
                 bare = direct.at(root) / (t[1] * t[1])
                 assert abs(new_direct / D_direct - bare) < 1e-45, (N, p)
                 assert abs(new_double / D_double - double.at(root)) < 1e-45
@@ -921,14 +922,24 @@ class TestOneElementOfZZeta:
             replay = qi._direct_sum_mp(RootOfUnityContext(N), p, 50)
             assert abs(replay - bare) <= 1e-15 * abs(bare) + 1e-45, (N, p)
 
+    @staticmethod
+    def derived_factors(N, zeta, reduce):
+        """(t, y) as _route_tables derives them from zeta, read from its
+        c: c_n = t_n on the direct route and c_n = -y_{N-n} on the double
+        route."""
+        t = qi._route_tables(N, zeta, "direct", reduce)[2]
+        c = qi._route_tables(N, zeta, "double", reduce)[2]
+        return t, [reduce(-c[-k]) for k in range(N)]
+
     def test_pochhammer_magnitude_product(self):
-        # the identities _route_tables rests on, on the tables it reads:
+        # the identities _route_tables rests on, on the factors it derives:
         # prod_{k=1}^{N-1} (1 - q^k) = prod_{a=1}^{N-1} t_a = N,
         # t_{N-a} = t_a and y_{N-k} = -q^{-k} y_k, q^{-k} = zeta^{-4k}
         for N in (5, 12, 33):
             order = 4 * N
             for ell, r in qi._certificate_fields(N):
-                t, zeta, y = qi._field_tables(N, ell, r)
+                zeta = qi._field_tables(N, ell, r)
+                t, y = self.derived_factors(N, zeta, lambda v: v % ell)
                 prod_y = prod_t = 1
                 for k in range(1, N):
                     prod_y = prod_y * y[k] % ell
@@ -938,7 +949,8 @@ class TestOneElementOfZZeta:
                     assert t[N - k] == t[k], (N, k)
                     assert y[N - k] == -zeta[-4 * k % order] * y[k] % ell
             with mp.workdps(50):
-                t, zeta, y = qi._mp_tables(N, 50)
+                zeta = qi._mp_tables(N, 50)
+                t, y = self.derived_factors(N, zeta, qi._exact)
                 assert abs(mp.fprod(y[1:]) - N) < 1e-45 * N
                 assert abs(mp.fprod(t[1:N]) - N) < 1e-45 * N
                 for k in range(1, N):
@@ -981,9 +993,9 @@ class TestOddColorSplitting:
                 def mod(v):
                     return v % ell
 
-                t, zeta, y = qi._field_tables(N, ell, r)
+                zeta = qi._field_tables(N, ell, r)
                 for route in ("direct", "double"):
-                    A, B, c, _ = qi._route_tables(N, t, zeta, y, route, mod)
+                    A, B, c, _ = qi._route_tables(N, zeta, route, mod)
                     rows = table_rows(N, A, B, c, mod)
                     assert rows == rows[::-1], (N, route)
                     for p in self.FRAMINGS:
@@ -1010,9 +1022,9 @@ class TestHalfRows:
                 def mod(v):
                     return v % ell
 
-                t, zeta, y = qi._field_tables(N, ell, r)
+                zeta = qi._field_tables(N, ell, r)
                 for route in ("direct", "double"):
-                    A, B, c, _ = qi._route_tables(N, t, zeta, y, route, mod)
+                    A, B, c, _ = qi._route_tables(N, zeta, route, mod)
                     (rows,) = qi._fixed_rows(N, (A,), (B,), (c,))
                     full = table_rows(N, A, B, c, mod)
                     assert len(rows) == N // 2, (N, route)
@@ -1022,9 +1034,9 @@ class TestHalfRows:
     @pytest.mark.parametrize("dps", [40, 80])
     def test_replay_rows(self, dps):
         for N in (3, 4, 9, 16, 37, 64):
-            t, zeta, y = qi._mp_tables(N, dps)
+            zeta = qi._mp_tables(N, dps)
             for route in ("direct", "double"):
-                A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
+                A, B, c, D = qi._route_tables(N, zeta, route, qi._exact)
                 tables = [qi._fixed(v)[0] for v in (A, B, [v / D for v in c])]
                 rows = qi._fixed_rows(N, *tables)
                 full = table_rows(N, *map(gaussians, tables), unreduced)
@@ -1098,7 +1110,7 @@ class TestRowsTimesPhases:
                 assert abs(double - loops[1]) < bounds[1], (N, p)
                 bare = (loops[0] / (t[1] * t[1]), loops[1])
                 for (value, D), loop, bound in zip(
-                        route_sums(N, p, t, zeta, y, qi._exact), bare, bounds):
+                        route_sums(N, p, zeta, qi._exact), bare, bounds):
                     assert abs(value / D - loop) < bound, (N, p)
 
 
@@ -1147,28 +1159,42 @@ def pow_field_tables(N, ell, r):
 
 
 class TestTableBuilds:
-    """The per-order tables, built from their computed entries and exact
-    fills, equal the tables computed at every entry, bit for bit."""
+    """The per-order zeta tables, built from their computed entries and
+    exact fills, equal the tables computed at every entry, bit for bit,
+    and the c of _route_tables, derived from them, equals the oracle's:
+    t_n on the direct route and zeta^{-4n} - 1 on the double route."""
 
     @pytest.mark.parametrize("dps", [40, 51, 100])
     def test_mp_tables(self, dps):
         # the exact parts, since a repr prints its table's own precision
         for N in [*range(3, 41), 64, 97, 150]:
-            t, zeta, y = qi._mp_tables.__wrapped__(N, dps)
-            full_t, full_zeta, full_y = full_mp_tables(N, dps)
-            assert [v._mpf_ for v in t] == [v._mpf_ for v in full_t[:N]], \
-                (N, dps)
-            for table, full in ((zeta, full_zeta), (y, full_y)):
-                assert [v._mpc_ for v in table] == \
-                    [v._mpc_ for v in full], (N, dps)
+            zeta = qi._mp_tables.__wrapped__(N, dps)
+            full_t, full_zeta, _ = full_mp_tables(N, dps)
+            assert [v._mpc_ for v in zeta] == \
+                [v._mpc_ for v in full_zeta], (N, dps)
+            direct = qi._route_tables(N, zeta, "direct", qi._exact)[2]
+            double = qi._route_tables(N, zeta, "double", qi._exact)[2]
+            assert [v._mpf_ for v in direct] == \
+                [v._mpf_ for v in full_t[:N]], (N, dps)
+            with mp.workdps(dps):
+                expected = [full_zeta[-4 * n % (4 * N)] - 1
+                            for n in range(N)]
+            assert [v._mpc_ for v in double] == \
+                [v._mpc_ for v in expected], (N, dps)
 
     def test_certificate_fields_and_tables(self):
         for N in range(3, 201):
             fields = qi._certificate_fields(N)
             assert fields == all_divisor_fields(N), N
             for ell, r in fields:
-                t, zeta, y = pow_field_tables(N, ell, r)
-                assert qi._field_tables(N, ell, r) == (t[:N], zeta, y), N
+                def mod(v):
+                    return v % ell
+
+                t, zeta, _ = pow_field_tables(N, ell, r)
+                assert qi._field_tables(N, ell, r) == zeta, N
+                assert qi._route_tables(N, zeta, "direct", mod)[2] == t[:N]
+                assert qi._route_tables(N, zeta, "double", mod)[2] == \
+                    [mod(zeta[-4 * n % (4 * N)] - 1) for n in range(N)], N
 
 
 class Gaussian:
@@ -1259,8 +1285,8 @@ class TestStackedProducts:
         pair sums the rows n <= N/2 of table_rows and frames each pair
         (n, N - n) by framed_pairs, as the package does; full is the
         (value, abs_sum) of all N - 1 rows, framed row by row."""
-        t, zeta, y = qi._mp_tables(N, qi._ROUND_ONE_DPS)
-        A, B, c, D = qi._route_tables(N, t, zeta, y, route, qi._exact)
+        zeta = qi._mp_tables(N, qi._ROUND_ONE_DPS)
+        A, B, c, D = qi._route_tables(N, zeta, route, qi._exact)
         (A, a), (B, b), (c, s), (zeta, z) = map(
             exact_entries, (A, B, [v / D for v in c], zeta))
         rows = table_rows(N, A, B, c, unreduced)

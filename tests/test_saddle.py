@@ -222,6 +222,44 @@ class TestSmallFramings:
         assert pt.correction.c == (Fraction(0), Fraction(0))
 
 
+class TestRationalCriticalValues:
+    """At |p| <= 4, where M_p is not hyperbolic, every point of solve_fig8
+    has a real V, and x = -Re V/(4 pi^2) is a rational of denominator d.
+
+    d = 5, 168, 80, 48, 20 at |p| = 0..4 is measured, not derived from
+    the Seifert invariants: d x lies within 4.4e-15 of an integer at
+    every point, and |Im V| <= 4.4e-16. M_{-p} is M_p reversed, and the
+    values at -p are the negatives of those at p, mod 1.
+    """
+
+    DENOMINATORS = {0: 5, 1: 168, 2: 80, 3: 48, 4: 20}
+    # x mod 1 at p >= 0, as measured
+    VALUES = {
+        0: {Fraction(0), Fraction(1, 5), Fraction(4, 5)},
+        1: {Fraction(5, 168), Fraction(143, 168), Fraction(167, 168)},
+        2: {Fraction(71, 80), Fraction(79, 80)},
+        3: {Fraction(35, 48), Fraction(11, 12), Fraction(47, 48)},
+        4: {Fraction(11, 20), Fraction(19, 20)},
+    }
+
+    @staticmethod
+    def rationals(p, d):
+        values = set()
+        for pt in solve_fig8(p):
+            assert abs(pt.value.imag) < 1e-12, (p, pt)
+            scaled = -d * pt.value.real / (4 * PI * PI)
+            assert abs(scaled - round(scaled)) < 1e-12, (p, pt, scaled)
+            values.add(Fraction(round(scaled) % d, d))
+        return values
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+    def test_values(self, p):
+        d = self.DENOMINATORS[p]
+        values = self.rationals(p, d)
+        assert values == self.VALUES[p], (p, sorted(map(str, values)))
+        assert self.rationals(-p, d) == {-x % 1 for x in values}, p
+
+
 class TestResidual:
     def test_examples(self):
         assert residual_fig8(6, *GEOMETRIC_TABLE[6]) < 1e-9
