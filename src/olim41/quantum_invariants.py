@@ -33,11 +33,15 @@ digits are lost), so each round is checked against a 1e-12 relative
 budget by one resolver (_resolved), which wrt_direct and wrt_double_sum
 share. Round 1 (_direct_sum_f64, _double_sum_f64) is this sum at
 _ROUND_ONE_DPS digits, and reports the summed magnitude abs_sum of the
-sum's terms with its value. At p = 6 it meets the budget up to N = 180.
-Later rounds (_direct_sum_mp, _double_sum_mp) are the same sum at a
-precision taken from the cancellation the previous round measured. A
+sum's terms with its value, as the exact pair (integer, shift) it is
+summed as, never rounded to a float. At p = 6 it meets the budget up to
+N = 180. Later rounds (_direct_sum_mp, _double_sum_mp) are the same sum
+at a precision taken from the cancellation the previous round measured. A
 round whose result is itself rounding noise escalates again at twice its
-digits or more.
+digits or more. The float range is decided once, before any table: a
+closed-form lower bound on abs_sum (_log_largest_terms) raises
+DomainError from N = 2160 (direct) and N = 2196 (double), and no order
+below it raises that error.
 
 An exact zero of tau_N never clears the budget, so a round 1 that misses
 it asks _certified_zero. At odd N with p = 2 (mod 4) the sum is 0 by the
@@ -207,22 +211,23 @@ def _resolved(ctx, p, route):
     """route's ("direct" or "double") bare sum at framing p, resolved to
     the relative budget: round 1, then the certificate, then the replays.
 
-    First, before any table is built, DomainError is raised when the bound
-    _log_largest_terms keeps on ctx says abs_sum passes the float range,
-    2^1024: from N = 2160 in the direct sum and N = 2196 in the double sum.
-    Round 1 (_direct_sum_f64, _double_sum_f64) then gives (value, abs_sum)
-    at _ROUND_ONE_DPS digits, and the same error is raised when either is
-    not finite, as abs_sum passes the float range from N = 2137 (direct)
-    and N = 2173 (double). A round at dps digits has the noise floor
-    _noise_floor(abs_sum, N, dps). If round 1 misses the budget,
-    _certified_zero(ctx, p, route) is asked whether the sum is exactly
-    zero, and if so 0j is returned. Up to _MAX_ESCALATIONS replays
-    (_direct_sum_mp, _double_sum_mp) follow. Each picks its precision from
-    the digits lost against the larger of the current value and the
-    current floor, plus _GUARD_DPS. After a round whose value lies within
-    its own floor, and so resolved no digit, it takes at least twice that
-    round's digits; the guard alone would add only 22 digits a round. The
-    round functions are looked up by name at each call.
+    The float range is decided once, first, before any table is built:
+    DomainError is raised when the bound _log_largest_terms keeps on ctx
+    says abs_sum passes 2^1024, from N = 2160 in the direct sum and
+    N = 2196 in the double sum; below the bound no value or floor passes
+    the float range (_to_float). Round 1 (_direct_sum_f64,
+    _double_sum_f64) then gives (value, abs_sum) at _ROUND_ONE_DPS digits,
+    abs_sum the exact pair (magnitude, shift) of _fixed_sum, and a round
+    at dps digits has the noise floor _noise_floor(abs_sum, N, dps). If
+    round 1 misses the budget, _certified_zero(ctx, p, route) is asked
+    whether the sum is exactly zero, and if so 0j is returned. Up to
+    _MAX_ESCALATIONS replays (_direct_sum_mp, _double_sum_mp) follow. Each
+    picks its precision from the digits lost, log10 of the pair less log10
+    of the larger of the current value and the current floor, plus
+    _GUARD_DPS. After a round whose value lies within its own floor, and
+    so resolved no digit, it takes at least twice that round's digits; the
+    guard alone would add only 22 digits a round. The round functions are
+    looked up by name at each call.
     errors: DomainError past the float range; PrecisionExhaustedError when
     the last replay still misses the budget.
     """
@@ -231,15 +236,14 @@ def _resolved(ctx, p, route):
         round_one, replay = _direct_sum_f64, _direct_sum_mp
     else:
         round_one, replay = _double_sum_f64, _double_sum_mp
-    past = ctx._kept(_log_largest_terms, _log_largest_terms, N)[route] \
-        > 1024 * math.log(2)
-    if not past:
-        value, abs_sum = round_one(ctx, p)
-        past = not (cmath.isfinite(value) and math.isfinite(abs_sum))
-    if past:
+    if ctx._kept(_log_largest_terms, _log_largest_terms, N)[route] \
+            > 1024 * math.log(2):
         raise DomainError(
             f"tau_{N}(M_{p}): the summed magnitude of the terms passes the "
             f"float range at N = {N}")
+    value, abs_sum = round_one(ctx, p)
+    magnitude, shift = abs_sum
+    log_abs_sum = math.log10(magnitude) - shift * math.log10(2)
     dps = _ROUND_ONE_DPS
     noise = _noise_floor(abs_sum, N, dps)
     for rounds in range(_MAX_ESCALATIONS + 1):
@@ -250,7 +254,7 @@ def _resolved(ctx, p, route):
         if rounds == _MAX_ESCALATIONS:
             break
         floor = max(abs(value), noise)
-        lost = max(math.log10(abs_sum) - math.log10(floor), 0.0)
+        lost = max(log_abs_sum - math.log10(floor), 0.0)
         dps = max(_GUARD_DPS + int(math.ceil(lost)), dps + 1,
                   2 * dps if abs(value) <= noise else 0)
         value = replay(ctx, p, dps)
@@ -294,9 +298,10 @@ def _log_largest_terms(N):
     the logs of t_n, t_1 and N, each at most ln N + 1 in modulus, 2^-50
     (1 + ln N). Everything is within N (1 + ln N) 2^-44 for N >= 3, and
     the margin N (1 + ln N) 2^-42 also covers abs_sum's own rounding (the
-    tables' 40 digits, the moduli rounded down to the unit and the one
-    rounding to float, each relative and below 2^-100 N) and the 1e-13 of
-    1024 ln 2 at the orders where the bound comes near it.
+    tables' 40 digits and the moduli rounded down to the unit, each
+    relative and below 2^-100 N; abs_sum is an exact pair, never rounded
+    to a float) and the 1e-13 of 1024 ln 2 at the orders where the bound
+    comes near it.
     """
     n = N // 2
     m = min(5 * N // 6 - n, n - 1)
@@ -315,6 +320,13 @@ def _log_largest_terms(N):
 def _noise_floor(abs_sum, N, dps):
     """The noise floor of a round at dps digits at order N: abs_sum times
     ((3 ln N + 12) N + 16) u, u = 2^-bits for the bits of _mp_context(dps).
+
+    abs_sum is the exact pair (magnitude, shift) of _fixed_sum, and
+    abs_sum u is rounded once, as _to_float(magnitude, shift + bits). In
+    the normal range rounding commutes with scaling by a power of two, so
+    wherever abs_sum has a float this is bit for bit the float abs_sum
+    times 2^-bits, and where abs_sum passes 2^1024 the floor is still
+    finite (_to_float).
 
     Derivation, to first order in u (N u < 2^-120 here). _fixed converts
     every table entry exactly and every integer sum is exact, so the
@@ -345,9 +357,10 @@ def _noise_floor(abs_sum, N, dps):
     float value is then rounded once, by less than 2^-53 of itself. The
     floor does not fall below 1e-300, where it would underflow.
     """
+    magnitude, shift = abs_sum
     bits = _mp_context(dps).prec
-    return max(math.ldexp(abs_sum, -bits) * ((3 * math.log(N) + 12) * N + 16),
-               1e-300)
+    return max(_to_float(magnitude, shift + bits)
+               * ((3 * math.log(N) + 12) * N + 16), 1e-300)
 
 
 def _exact(value):
@@ -586,12 +599,25 @@ def _times(a, b, mul=operator.mul):
 
 
 def _to_float(value, shift):
-    """value * 2^-shift, rounded once by int division; +-inf past the
-    float range."""
-    try:
-        return value / (1 << shift)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    """value * 2^-shift, rounded once by int division.
+
+    Nothing converted here passes 2^1024 below the bound of
+    _log_largest_terms, although abs_sum does from N = 2137 (direct) and
+    N = 2173 (double): abs_sum itself is never converted, only abs_sum
+    2^-bits in _noise_floor. An upper bound on abs_sum: log t_a is
+    concave, so each chord lies below it, and the trapezoid rule, with
+    -Cl2 <= Cl2(pi/3) and log t_k <= ln 2, gives
+        L_k = log S_k
+            <= (N/2 pi)(Cl2(2 pi/N) + Cl2(pi/3)) + (log t_1 + ln 2)/2.
+    The sum has at most N^2/4 terms, each at most 2 exp(2 max L_k)/N,
+    times t_1^-2 in the direct sum (_log_largest_terms), so
+    abs_sum < 2^1045.6 at every order below the bound (2^1034.4 measured
+    at N = 2159 direct and 2195 double). A floor (_noise_floor) is then
+    below 2^(1045.6 - 136 + 16.3), at most 2^926 (2^914.6 measured there),
+    and a value lies within its floor of the bare sum, whose modulus is
+    tau_N over the prefactor and measured below 2^29 at those orders.
+    """
+    return value / (1 << shift)
 
 
 def _fixed_rows(N, A, B, c):
@@ -650,7 +676,9 @@ def _fixed_sum(N, dps, route):
 
     abs_sum, the summed moduli of the bare sum's terms, is summed from the
     same tables at _ROUND_ONE_DPS digits, the round that reports it, and is
-    None at any other digits. A term is a row's term times c_n/D
+    None at any other digits. It is the exact pair (magnitude, shift),
+    abs_sum = magnitude 2^-shift, never rounded to a float, so it has a
+    value past 2^1024 too. A term is a row's term times c_n/D
     zeta^{p n^2}, and |zeta^{p n^2}| = 1, so abs_sum is the rows over the
     moduli of the entries, each to the unit below, and does not depend on
     the framing. Term m of row N - n has the modulus of term m of row n
@@ -667,7 +695,7 @@ def _fixed_sum(N, dps, route):
                   for table in (A, B, c)]
         (magnitudes,) = _fixed_rows(N, *moduli)
         middle = magnitudes[-1] if N % 2 == 0 else 0
-        abs_sum = _to_float(2 * sum(magnitudes) - middle, a + b + s)
+        abs_sum = (2 * sum(magnitudes) - middle, a + b + s)
     return _fixed_rows(N, A, B, c), zeta, a + b + s + z, abs_sum
 
 
@@ -675,7 +703,8 @@ def _bare_sum(ctx, p, route, dps):
     """(value, abs_sum) of route's bare sum at dps digits: the framing's
     exact dot (_framing_dot) of the rows of _fixed_sum, whose result is
     kept on ctx under (route, dps), times 2^-shift and rounded once to
-    complex (_to_float). A further framing costs one dot of N terms."""
+    complex (_to_float), and abs_sum, the exact pair of _fixed_sum. A
+    further framing costs one dot of N terms."""
     rows, zeta, shift, abs_sum = ctx._kept((route, dps), _fixed_sum,
                                            ctx.N, dps, route)
     value = _framing_dot(ctx.N, p, rows, zeta)

@@ -302,35 +302,33 @@ def _newton_many(p, s, w):
                map(bool, res < _NEWTON_TOLERANCE))
 
 
-def _sparse_poly(terms):
-    """Ascending coefficients of the sum of c s^e over (e, c) pairs; pairs
-    with one exponent add up, as the two terms of A do at p = 2."""
-    coeffs = np.zeros(max(e for e, _ in terms) + 1, dtype=np.int64)
-    for exponent, c in terms:
-        coeffs[exponent] += c
-    return coeffs
-
-
 def _elimination_coefficients(p):
     """Ascending integer coefficients of the cleared polynomial in s.
 
     With A = s^sigma (s^2 + s^p), B = s^sigma (1 + s^{p+2}) for
     sigma = max(0, -p), eliminating w between w B = A and the w-quadratic
     z w^2 - (1 - z + z^2) w + z = 0 gives s^2 A^2 - C A B + s^2 B^2 with
-    C = 1 - s^2 + s^4; degree 2 max(p, 0) + 2 sigma + 6.
+    C = 1 - s^2 + s^4. Over s^{2 sigma},
+      s^2 A^2 + s^2 B^2 = s^2 + s^6 + 4 s^{p+4} + s^{2p+2} + s^{2p+6},
+      C A B = (1 - s^2 + s^4)(s^2 + s^p + s^{p+4} + s^{2p+2})
+            = s^2 - s^4 + s^6 + s^p - s^{p+2} + 2 s^{p+4} - s^{p+6}
+              + s^{p+8} + s^{2p+2} - s^{2p+4} + s^{2p+6},
+    so the polynomial is the seven terms
+      s^{2 sigma} (s^4 - s^p + s^{p+2} + 2 s^{p+4} + s^{p+6} - s^{p+8}
+                   + s^{2p+4}).
+    Terms with one exponent add up, as s^4 and s^{p+2} do at p = 2. The
+    top coefficient returned is nonzero: the degree is 2|p| + 4 for
+    |p| >= 5, where s^{2 sigma} s^{2p+4} is the only top term.
     """
     sigma = max(0, -p)
-    a = _sparse_poly([(2 + sigma, 1), (p + sigma, 1)])
-    b = _sparse_poly([(sigma, 1), (p + 2 + sigma, 1)])
-    c = _sparse_poly([(0, 1), (2, -1), (4, 1)])
-    aa = np.convolve(a, a)
-    bb = np.convolve(b, b)
-    cab = np.convolve(c, np.convolve(a, b))
-    out = np.zeros(max(len(aa) + 2, len(bb) + 2, len(cab)), dtype=np.int64)
-    out[2:2 + len(aa)] += aa
-    out[2:2 + len(bb)] += bb
-    out[:len(cab)] -= cab
-    return out
+    terms = ((4, 1), (p, -1), (p + 2, 1), (p + 4, 2), (p + 6, 1), (p + 8, -1),
+             (2 * p + 4, 1))
+    coeffs = [0] * (2 * sigma + max(e for e, _ in terms) + 1)
+    for exponent, c in terms:
+        coeffs[2 * sigma + exponent] += c
+    while not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def _quadratic_w_roots(z):
@@ -501,13 +499,13 @@ def solve_fig8(p):
     sorted by label rank, then lexicographically by coordinates.
 
     |p| must be at most 136 (DomainError otherwise). The elimination
-    polynomial has degree 2|p| + 6, and np.roots first loses points of it
-    at p = 137 (270 of 272), so past the bound the set would be incomplete
-    without a sign. Checked at every |p| <= 136, the set has 2|p| - 2
-    points at odd p and |p| at even p for 5 <= |p| <= 136 (4 at p = 0, 6
-    at p = +-1 and +-3, 4 at +-2, 2 at +-4), except at p = 0 (mod 4) in
-    -136..-36 but -60 and in 60..136 but 132, where the z = -1 pair
-    (-1, (-3 +- sqrt 5)/2) lacks a point or both.
+    polynomial has degree 2|p| + 4 for |p| >= 5, and np.roots first loses
+    points of it at p = 137 (270 of 272), so past the bound the set would
+    be incomplete without a sign. Checked at every |p| <= 136, the set has
+    2|p| - 2 points at odd p and |p| at even p for 5 <= |p| <= 136 (4 at
+    p = 0, 6 at p = +-1 and +-3, 4 at +-2, 2 at +-4), except at
+    p = 0 (mod 4) in -136..-36 but -60 and in 60..136 but 132, where the
+    z = -1 pair (-1, (-3 +- sqrt 5)/2) lacks a point or both.
     """
     p = checked_integer(p, "surgery coefficient")
     if abs(p) > _MAX_FRAMING:

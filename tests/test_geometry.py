@@ -20,7 +20,7 @@ from olim41.geometry_reference import (
     limit_infinity,
     load_references,
 )
-from olim41.saddle_solver import residual_fig8, track_geometric
+from olim41.saddle_solver import residual_fig8, solve_fig8, track_geometric
 from olim41.specfun import clausen2, dilog
 
 PI = math.pi
@@ -199,3 +199,56 @@ class TestNeumannZagierRate:
         pt, = track_geometric([p])
         e = pt.value - limit_infinity() - PI ** 2 / (p + 2j * math.sqrt(3))
         assert abs(e) < 1e-10
+
+
+def bloch_wigner(z):
+    """D(z) = Im Li2(z) + arg(1 - z) log|z|, the volume of the ideal
+    tetrahedron of shape z."""
+    return dilog(z).imag + cmath.phase(1 - z) * math.log(abs(z))
+
+
+def gluing_volumes(framings):
+    """{p: D(z) + D(w)} from Thurston's gluing equations of (p, 1) surgery
+    on 4_1, an independent route to the volume: the edge equation
+    z (z - 1) w (w - 1) = 1 and the surgery equation p log m + log l = 2 pi i,
+    with meridian m = w (1 - z) and longitude l = z^2 (1 - z)^2. Newton
+    with the exact Jacobian, continued in unit steps of p from the complete
+    structure z = w = e^{i pi/3} (m = l = 1) at p = 200."""
+    z = w = cmath.exp(1j * PI / 3)
+    volumes = {}
+    for p in range(200, min(framings) - 1, -1):
+        for _ in range(50):
+            f = (z * (z - 1) * w * (w - 1) - 1,
+                 p * (cmath.log(w) + cmath.log(1 - z))
+                 + 2 * (cmath.log(z) + cmath.log(1 - z)) - 2j * PI)
+            a, b = (2 * z - 1) * w * (w - 1), z * (z - 1) * (2 * w - 1)
+            c, d = 2 / z - (p + 2) / (1 - z), p / w
+            det = a * d - b * c
+            dz, dw = (d * f[0] - b * f[1]) / det, (a * f[1] - c * f[0]) / det
+            z, w = z - dz, w - dw
+            if abs(dz) + abs(dw) < 1e-15:
+                break
+        if p in framings:
+            volumes[p] = bloch_wigner(z) + bloch_wigner(w)
+    return volumes
+
+
+class TestGluingEquationVolumes:
+    """Im V of the geometric critical point is the hyperbolic volume of
+    M_p, which Thurston's gluing equations give without the potential:
+    0.981368828892 at p = 5 (the Meyerhoff manifold) rising to
+    1.730337923741 at p = 10, toward vol(4_1) = 2.029883212819."""
+
+    def test_tracked_branch(self):
+        framings = [*range(5, 11), 20, 100]
+        volumes = gluing_volumes(framings)
+        for p, pt in zip(framings, track_geometric(framings)):
+            assert abs(pt.value.imag - volumes[p]) < 1e-12, p
+        assert abs(volumes[5] - 0.981368828892) < 1e-12
+
+    def test_solver_candidate(self):
+        volumes = gluing_volumes(range(5, 11))
+        for p in range(5, 11):
+            geometric, = [pt for pt in solve_fig8(p)
+                          if pt.label == "geometric-candidate"]
+            assert abs(geometric.value.imag - volumes[p]) < 1e-12, p

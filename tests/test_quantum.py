@@ -266,19 +266,23 @@ class TestWrt:
         # wrt_direct at (1400, 6) sums magnitude 2.2e204 and needs about 212
         # digits. A replay that finds only noise below that must not run out
         # of rounds at 22 more digits each, as 51, 73, ..., 205 did.
-        abs_sum = 2.2e204
+        magnitude = 22 * 10 ** 203
         calls = []
 
         def replay(ctx, p, dps):
             calls.append(dps)
-            return 1.0 if dps >= 212 else abs_sum * 10.0 ** -dps / 2
+            return 1.0 if dps >= 212 else magnitude * 10.0 ** -dps / 2
 
-        monkeypatch.setattr(qi, "_direct_sum_f64", lambda ctx, p: (0j, abs_sum))
+        monkeypatch.setattr(qi, "_direct_sum_f64",
+                            lambda ctx, p: (0j, (magnitude << 150, 150)))
         monkeypatch.setattr(qi, "_direct_sum_mp", replay)
         monkeypatch.setattr(qi, "_field_image", lambda ctx, p, route, field: 1)
         value = qi._resolved(RootOfUnityContext(1400), 6, "direct")
         assert value == 1.0
         assert len(calls) <= 5, calls
+        # round 1's floor, 1.2e168, leaves 37 digits lost: the guard and
+        # those make 59, fewer than twice round 1's 40
+        assert calls[0] == 80, calls
 
 
 class TestZetaTable:
@@ -386,36 +390,20 @@ class TestCertifiedZeros:
         assert captured.err.count("\n") == 1
 
 
-    def test_overflowed_f64_pass_raises(self, monkeypatch, capsys):
-        # Round 1's abs_sum passes the float range from N = 2137.
-        overflow = lambda ctx, p: (complex(math.nan, math.nan), math.inf)
-        monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
-        monkeypatch.setattr(qi, "_double_sum_f64", overflow)
-        ctx = RootOfUnityContext(2300)
-        with pytest.raises(DomainError, match="N = 2300"):
-            wrt_direct(ctx, 6)
-        with pytest.raises(DomainError, match="N = 2300"):
-            wrt_double_sum(ctx, 6)
-        code = cli.main(["wrt", "--N", "2300", "--p", "6"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert captured.err.count("\n") == 1
-
-
 class TestFloatRange:
-    """abs_sum passes the float range from N = 2137 (direct) and N = 2173
-    (double). A lower bound on it, in O(1) floats, stops the orders from
-    N = 2160 and N = 2196 before any table is built; round 1 stops the
-    orders between."""
+    """A lower bound on abs_sum, in O(1) floats, stops the orders from
+    N = 2160 (direct) and N = 2196 (double) before any table is built.
+    abs_sum is an exact integer times a power of two, so the orders below
+    the bound resolve although abs_sum passes 2^1024 from N = 2137 and
+    N = 2173."""
 
     def test_bound_below_abs_sum(self):
         for N in range(3, 301):
             ctx, bound = RootOfUnityContext(N), qi._log_largest_terms(N)
             for route in ("direct", "double"):
-                _, abs_sum = getattr(qi, f"_{route}_sum_f64")(ctx, 1)
-                assert bound[route] <= math.log(abs_sum), (N, route)
+                _, (magnitude, shift) = getattr(qi, f"_{route}_sum_f64")(ctx, 1)
+                assert bound[route] <= math.log(magnitude) - shift * math.log(2), \
+                    (N, route)
 
     def test_far_order_fails_fast(self, capsys):
         start = time.perf_counter()
@@ -445,14 +433,19 @@ class TestFloatRange:
             in captured.err
         assert elapsed < 2
 
-    def test_orders_below_the_bound_stop_at_round_one(self, monkeypatch):
-        overflow = lambda ctx, p: (complex(math.nan, math.nan), math.inf)
-        monkeypatch.setattr(qi, "_direct_sum_f64", overflow)
-        monkeypatch.setattr(qi, "_double_sum_f64", overflow)
-        with pytest.raises(DomainError, match="N = 2158"):
-            wrt_direct(RootOfUnityContext(2158), 6)
-        with pytest.raises(DomainError, match="N = 2194"):
-            wrt_double_sum(RootOfUnityContext(2194), 6)
+    def test_abs_sum_past_the_float_range_resolves(self, monkeypatch):
+        # Next to the bound abs_sum is about 2^1034; as an exact pair it
+        # still gives a finite noise floor, about 2^914, and a value that
+        # meets the budget is returned without a replay.
+        value, abs_sum = complex(2.0 ** 1000, -3.0), (1 << 1134, 100)
+        for name in ("_direct_sum_f64", "_double_sum_f64"):
+            monkeypatch.setattr(qi, name, lambda ctx, p: (value, abs_sum))
+        for name in ("_direct_sum_mp", "_double_sum_mp"):
+            monkeypatch.setattr(qi, name, None)
+        for N, route in ((2158, "direct"), (2194, "double")):
+            floor = qi._noise_floor(abs_sum, N, qi._ROUND_ONE_DPS)
+            assert 2.0 ** 914 < floor < 2.0 ** 915, N
+            assert qi._resolved(RootOfUnityContext(N), 6, route) == value
 
 
 def counted(monkeypatch, name):
@@ -1099,7 +1092,7 @@ class TestRowsTimesPhases:
         # magnitude abs_sum of the bare sum
         for N, p in self.CASES:
             ctx = RootOfUnityContext(N)
-            bounds = [1e-45 * max(fn(ctx, p)[1], 1.0)
+            bounds = [1e-45 * max(qi._to_float(*fn(ctx, p)[1]), 1.0)
                       for fn in (qi._direct_sum_f64, qi._double_sum_f64)]
             with mp.workdps(50):
                 t, zeta, y = full_mp_tables(N, 50)
@@ -1294,7 +1287,7 @@ class TestStackedProducts:
                   for table in (A, B, c)]
         magnitudes = table_rows(N, *moduli, unreduced)
         half = magnitudes[:N // 2]
-        abs_sums = [value / 2 ** (a + b + s) for value in (
+        abs_sums = [(value, a + b + s) for value in (
             2 * sum(half) - (half[-1] if N % 2 == 0 else 0), sum(magnitudes))]
         scale = 2 ** (a + b + s + z)
 
@@ -1323,7 +1316,8 @@ class TestStackedProducts:
                 value, abs_sum = round_one(ctx, p)
                 paired, (full, full_abs_sum) = unstacked(p)
                 assert repr((value, abs_sum)) == repr(paired), (route, N, p)
-                assert abs_sum == full_abs_sum, (route, N)
+                assert qi._to_float(*abs_sum) == qi._to_float(*full_abs_sum), \
+                    (route, N)
                 assert abs(value - full) <= \
                     qi._noise_floor(abs_sum, N, qi._ROUND_ONE_DPS), (route, N, p)
 
@@ -1331,7 +1325,9 @@ class TestStackedProducts:
 class TestToFloat:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_past_the_float_range(self, sign):
-        assert qi._to_float(sign << 2000, 3) == sign * math.inf
+        # an integer and a power of two past the float range, as abs_sum
+        # is near the bound, still round once to their finite quotient
+        assert qi._to_float(sign * 5 << 2000, 2001) == sign * 2.5
         assert qi._to_float(sign * 5, 1) == sign * 2.5
 
 
@@ -1380,4 +1376,4 @@ class TestKernelBackends:
     def test_abs_sum_bounds_value(self):
         for fn in (qi._direct_sum_f64, qi._double_sum_f64):
             value, abs_sum = fn(RootOfUnityContext(30), 6)
-            assert abs(value) <= abs_sum * (1 + 1e-12)
+            assert abs(value) <= qi._to_float(*abs_sum) * (1 + 1e-12)

@@ -458,7 +458,54 @@ class TestEliminationPolynomial:
 
     @pytest.mark.parametrize("p", [2, -2])
     def test_coinciding_exponents(self, p):
-        assert saddle_solver._elimination_coefficients(p).tolist() == self.CLEARED
+        assert saddle_solver._elimination_coefficients(p) == self.CLEARED
+
+    def test_closed_form_is_the_elimination(self):
+        # s^2 A^2 - C A B + s^2 B^2, multiplied out term by term
+        def poly(*terms):
+            out = [0] * (max(e for e, _ in terms) + 1)
+            for exponent, c in terms:
+                out[exponent] += c
+            return out
+
+        def times(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def plus(a, b):
+            out = [0] * max(len(a), len(b))
+            for k, v in chain(enumerate(a), enumerate(b)):
+                out[k] += v
+            return out
+
+        s2, C = poly((2, 1)), poly((0, 1), (2, -1), (4, 1))
+        for p in range(-136, 137):
+            sigma = max(0, -p)
+            A = poly((sigma + 2, 1), (sigma + p, 1))
+            B = poly((sigma, 1), (sigma + p + 2, 1))
+            cleared = plus(plus(times(s2, times(A, A)), times(s2, times(B, B))),
+                           [-v for v in times(C, times(A, B))])
+            while not cleared[-1]:
+                cleared.pop()
+            assert saddle_solver._elimination_coefficients(p) == cleared, p
+            if abs(p) >= 5:
+                assert len(cleared) == 2 * abs(p) + 5, p
+
+    def test_double_root_at_minus_one(self):
+        # at p = 0 (mod 4) the z = -1 roots s = +-i are double roots:
+        # (1 + s^2)^2 = 1 + 2 s^2 + s^4 divides the polynomial exactly
+        for p in range(-136, 137, 4):
+            rest = saddle_solver._elimination_coefficients(p)[::-1]
+            quotient = []
+            while len(rest) > 4:
+                lead = rest[0]
+                quotient.append(lead)
+                rest = [rest[1], rest[2] - 2 * lead, rest[3], rest[4] - lead,
+                        *rest[5:]]
+            assert quotient and rest == [0, 0, 0, 0], p
 
     @pytest.mark.parametrize("p, omega", [(2, (math.sqrt(5) - 1) / 2),
                                           (-2, (math.sqrt(5) + 1) / 2)])
